@@ -11,7 +11,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"specrt/internal/abits"
@@ -90,6 +89,11 @@ type Cache struct {
 	scratch []abits.Word // last window of the slab
 	Stats   Stats
 
+	// slabBox and frames are the pool boxes the slab and the frame array
+	// came in; Release puts the same boxes back, so it allocates nothing.
+	slabBox *[]abits.Word
+	frames  *frameSet
+
 	// pow2/lineShift/setMask strength-reduce the set-index computation
 	// when both the line size and the set count are powers of two (the
 	// §5.1 geometries always are): the generic divide-and-modulo by
@@ -99,19 +103,28 @@ type Cache struct {
 	lineShift uint64
 	setMask   uint64
 
-	// used records set indices that have held a valid line since the last
-	// FlushAll (appended on each Invalid->valid transition in Install).
-	// Whole-cache walks visit only these frames — in sorted order, so
-	// observable effects (writeback callbacks, bit resets) are identical
-	// to a full frame scan — instead of touching every frame of a mostly
-	// empty cache between executions.
-	used []int32
+	// used is an occupancy bitmap, one bit per set, marking the sets
+	// that have held a valid line since the last FlushAll (set on each
+	// Invalid->valid transition in Install). Whole-cache walks visit only
+	// these frames — in ascending set order, so observable effects
+	// (writeback callbacks, bit resets) are identical to a full frame
+	// scan — instead of touching every frame of a mostly empty cache
+	// between executions.
+	used []uint64
+}
+
+// frameSet is the pooled frame array of a cache together with its
+// occupancy bitmap.
+type frameSet struct {
+	lines []Line
+	used  []uint64
 }
 
 // slabPool recycles access-bit slabs between cache instances, keyed by
 // slab length (pointer-boxed so Put does not allocate). linePool does
-// the same for the frame arrays. A mutex-guarded plain map is used
-// rather than sync.Map so the int key is not boxed on every lookup.
+// the same for the frame arrays, keyed by set count. A mutex-guarded
+// plain map is used rather than sync.Map so the int key is not boxed on
+// every lookup.
 var (
 	poolMu   sync.Mutex
 	slabPool = map[int]*sync.Pool{}
@@ -129,31 +142,25 @@ func poolFor(m map[int]*sync.Pool, size int) *sync.Pool {
 	return p
 }
 
-func getSlab(size int) []abits.Word {
+func getSlab(size int) *[]abits.Word {
 	if v := poolFor(slabPool, size).Get(); v != nil {
-		return *(v.(*[]abits.Word))
+		return v.(*[]abits.Word)
 	}
-	return make([]abits.Word, size)
+	slab := make([]abits.Word, size)
+	return &slab
 }
 
-func putSlab(s []abits.Word) {
-	poolFor(slabPool, len(s)).Put(&s)
-}
-
-// getLines returns an all-Invalid frame array. Pooled arrays are already
-// zeroed: Release clears exactly the frames the used list covers, which
-// is every frame that has held a line since the last FlushAll (frames
-// invalidated individually are zeroed at that point), so a full
-// clear — 320 KB per L2 per execution — is not needed here.
-func getLines(sets int) []Line {
+// getFrames returns an all-Invalid frame array with an empty occupancy
+// bitmap. Pooled arrays are already zeroed: Release clears exactly the
+// frames the bitmap covers, which is every frame that has held a line
+// since the last FlushAll (frames invalidated individually are zeroed at
+// that point), so a full clear — 320 KB per L2 per execution — is not
+// needed here.
+func getFrames(sets int) *frameSet {
 	if v := poolFor(linePool, sets).Get(); v != nil {
-		return *(v.(*[]Line))
+		return v.(*frameSet)
 	}
-	return make([]Line, sets)
-}
-
-func putLines(lines []Line) {
-	poolFor(linePool, len(lines)).Put(&lines)
+	return &frameSet{lines: make([]Line, sets), used: make([]uint64, (sets+63)/64)}
 }
 
 // New builds a cache; it panics on invalid configuration (a programming
@@ -164,14 +171,19 @@ func New(cfg Config) *Cache {
 	}
 	sets := cfg.SizeBytes / cfg.LineBytes
 	wpl := abits.WordsPerLine(cfg.LineBytes)
-	slab := getSlab((sets + 1) * wpl)
+	slabBox := getSlab((sets + 1) * wpl)
+	slab := *slabBox
+	frames := getFrames(sets)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    sets,
-		lines:   getLines(sets),
+		lines:   frames.lines,
+		used:    frames.used,
 		wpl:     wpl,
 		slab:    slab,
 		scratch: slab[sets*wpl : (sets+1)*wpl : (sets+1)*wpl],
+		slabBox: slabBox,
+		frames:  frames,
 	}
 	if cfg.LineBytes&(cfg.LineBytes-1) == 0 && sets&(sets-1) == 0 {
 		c.pow2 = true
@@ -194,17 +206,14 @@ func (c *Cache) Release() {
 	if c.slab == nil {
 		return
 	}
-	// Restore the pooled-array invariant (see getLines): zero every frame
-	// touched since the last FlushAll; the rest are already zero.
-	for _, i := range c.used {
-		c.lines[i] = Line{}
-	}
-	c.used = c.used[:0]
-	putLines(c.lines)
-	c.lines = nil
-	putSlab(c.slab)
-	c.slab = nil
-	c.scratch = nil
+	// Restore the pooled-array invariant (see getFrames): zero every
+	// frame touched since the last FlushAll; the rest are already zero.
+	c.eachUsed(func(fr *Line) { *fr = Line{} })
+	clear(c.used)
+	poolFor(linePool, c.sets).Put(c.frames)
+	poolFor(slabPool, len(c.slab)).Put(c.slabBox)
+	c.lines, c.used, c.frames = nil, nil, nil
+	c.slab, c.scratch, c.slabBox = nil, nil, nil
 }
 
 // Config returns the cache geometry.
@@ -286,7 +295,7 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 		}
 	}
 	if fr.State == Invalid {
-		c.used = append(c.used, int32(set))
+		c.used[set>>6] |= 1 << (set & 63)
 	}
 	fr.Tag = line
 	fr.State = st
@@ -353,14 +362,17 @@ func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 	return old, true
 }
 
-// touched returns the set indices that may hold valid lines, sorted and
-// deduplicated, so sparse walks observe frames in the same ascending
-// order a full scan would. Entries may point at since-invalidated
-// frames; callers check State.
-func (c *Cache) touched() []int32 {
-	slices.Sort(c.used)
-	c.used = slices.Compact(c.used)
-	return c.used
+// eachUsed calls fn for the frame of every set marked in the occupancy
+// bitmap, in ascending set order, so sparse walks observe frames in the
+// same order a full scan would. Marked frames may have been invalidated
+// since; callers check State.
+func (c *Cache) eachUsed(fn func(fr *Line)) {
+	for w, word := range c.used {
+		for word != 0 {
+			fn(&c.lines[w<<6|bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
 }
 
 // FlushAll invalidates every line, invoking cb for each dirty line so the
@@ -368,14 +380,13 @@ func (c *Cache) touched() []int32 {
 // flush the caches after every execution").
 func (c *Cache) FlushAll(cb func(Line)) {
 	c.Stats.Flushes++
-	for _, i := range c.touched() {
-		fr := &c.lines[i]
+	c.eachUsed(func(fr *Line) {
 		if fr.State == Dirty && cb != nil {
 			cb(*fr)
 		}
 		*fr = Line{}
-	}
-	c.used = c.used[:0]
+	})
+	clear(c.used)
 }
 
 // ClearBits applies the hardware reset line to the access bits of every
@@ -383,29 +394,28 @@ func (c *Cache) FlushAll(cb func(Line)) {
 // of lines holding privatized data, or a general reset with keep == nil).
 // mutate receives each word and returns its cleared value.
 func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word) abits.Word) {
-	for _, i := range c.touched() {
-		fr := &c.lines[i]
+	c.eachUsed(func(fr *Line) {
 		if fr.State == Invalid || fr.Bits == nil {
-			continue
+			return
 		}
 		if keep != nil && !keep(fr.Tag) {
-			continue
+			return
 		}
 		for j := range fr.Bits {
 			fr.Bits[j] = mutate(fr.Bits[j])
 		}
-	}
+	})
 }
 
 // ForEach calls fn for every valid (non-Invalid) frame, in frame order.
 // The Line is passed by value; fn must not retain its Bits slice. Used by
 // invariant checkers to audit cache/directory agreement.
 func (c *Cache) ForEach(fn func(Line)) {
-	for _, i := range c.touched() {
-		if c.lines[i].State != Invalid {
-			fn(c.lines[i])
+	c.eachUsed(func(fr *Line) {
+		if fr.State != Invalid {
+			fn(*fr)
 		}
-	}
+	})
 }
 
 // Lines returns the number of frames (for tests and occupancy inspection).

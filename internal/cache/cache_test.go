@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +243,50 @@ func TestVictimBitsNotAliased(t *testing.T) {
 	}
 	if victim.Bits[4].ROnly() {
 		t.Fatal("victim bits alias the new line's bits")
+	}
+}
+
+// TestWalksAscendingSetOrder installs lines across several bitmap words
+// in scrambled order and checks that whole-cache walks visit frames in
+// ascending set order, as a full frame scan would.
+func TestWalksAscendingSetOrder(t *testing.T) {
+	c := New(Config{SizeBytes: 256 * 64, LineBytes: 64}) // 256 sets
+	sets := []int{200, 3, 64, 255, 0, 130, 63, 65, 3}
+	for _, s := range sets {
+		c.Install(mem.Addr(s*64), Dirty, nil)
+	}
+	c.Invalidate(mem.Addr(130 * 64))
+	want := []mem.Addr{0, 3 * 64, 63 * 64, 64 * 64, 65 * 64, 200 * 64, 255 * 64}
+	var got []mem.Addr
+	c.ForEach(func(l Line) { got = append(got, l.Tag) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("ForEach order = %v, want %v", got, want)
+	}
+	got = got[:0]
+	c.FlushAll(func(l Line) { got = append(got, l.Tag) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("FlushAll writeback order = %v, want %v", got, want)
+	}
+	c.ForEach(func(l Line) { t.Fatalf("line %#x resident after flush", l.Tag) })
+	c.Release()
+}
+
+// TestReleaseAllocatesNothing checks that Release hands back the pool
+// boxes the cache was built from instead of boxing new ones.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, LineBytes: 64}
+	const runs = 50
+	caches := make([]*Cache, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range caches {
+		caches[i] = New(cfg)
+		caches[i].Install(mem.Addr(i*64), Dirty, make([]abits.Word, 16))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		caches[next].Release()
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Release allocated %v times per call", allocs)
 	}
 }

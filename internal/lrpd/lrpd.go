@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -216,8 +217,10 @@ type markScratch struct {
 	wSoFar   []int32 // stamp: element written before this point
 	rFirst   []int32 // stamp: element already read-first in this iteration
 	stamp    int32
-	groupIdx map[int]int // iteration -> bucket, in first-seen order
-	buckets  [][]Op
+	groupIdx map[int]int // iteration -> group, in first-seen order
+	opGroup  []int32     // group of each op, from the counting pass
+	start    []int32     // group -> offset into grouped (count, then fill cursor)
+	grouped  []Op        // ops reordered group by group
 }
 
 // scratch returns the lazily-allocated marking scratch.
@@ -250,27 +253,39 @@ func (m *markScratch) nextStamp() int32 {
 // appear in program order relative to each other, but iterations may
 // interleave arbitrarily (as they do in a parallel execution, or after
 // the processor-wise super-iteration mapping): ops are grouped by
-// iteration before marking. The group buckets are retained and reused
-// across calls.
+// iteration before marking, groups in order of first appearance. The
+// grouping is a counting sort into one retained buffer.
 func (s *Shadows) Mark(ops []Op) {
 	m := s.scratch()
 	clear(m.groupIdx)
-	used := 0
+	m.opGroup = m.opGroup[:0]
+	m.start = m.start[:0]
 	for _, op := range ops {
 		gi, ok := m.groupIdx[op.Iter]
 		if !ok {
-			if used == len(m.buckets) {
-				m.buckets = append(m.buckets, nil)
-			}
-			m.buckets[used] = m.buckets[used][:0]
-			gi = used
+			gi = len(m.start)
 			m.groupIdx[op.Iter] = gi
-			used++
+			m.start = append(m.start, 0)
 		}
-		m.buckets[gi] = append(m.buckets[gi], op)
+		m.start[gi]++
+		m.opGroup = append(m.opGroup, int32(gi))
 	}
-	for i := 0; i < used; i++ {
-		s.markIteration(m.buckets[i])
+	off := int32(0)
+	for gi, n := range m.start {
+		m.start[gi] = off
+		off += n
+	}
+	m.grouped = slices.Grow(m.grouped[:0], len(ops))[:len(ops)]
+	for i, op := range ops {
+		gi := m.opGroup[i]
+		m.grouped[m.start[gi]] = op
+		m.start[gi]++
+	}
+	// Each cursor now sits at its group's end, the next group's start.
+	lo := int32(0)
+	for _, hi := range m.start {
+		s.markIteration(m.grouped[lo:hi])
+		lo = hi
 	}
 }
 

@@ -2,6 +2,7 @@ package lrpd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +268,68 @@ func TestPropertyProcessorWiseWeaker(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Mark over an interleaved stream equals marking each
+// iteration's accesses, in program order, with iterations taken in order
+// of first appearance. One Shadows is reused across cases so the
+// retained grouping buffers are exercised at every size.
+func TestPropertyMarkGroupsInterleavedIterations(t *testing.T) {
+	const n = 8
+	got := NewShadows(n)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		perIter := make([][]Op, 1+rng.Intn(10))
+		for i := range perIter {
+			iter := rng.Intn(40) // sparse, unordered iteration numbers
+			for k := rng.Intn(6); k > 0; k-- {
+				perIter[i] = append(perIter[i], Op{Iter: iter, Elem: rng.Intn(n), Write: rng.Intn(2) == 0})
+			}
+		}
+		// Merge the per-iteration lists at random, keeping each list's
+		// order, and note the order iterations first appear in.
+		var ops []Op
+		var first []int
+		seen := map[int]bool{}
+		next := make([]int, len(perIter))
+		for left := true; left; {
+			left = false
+			for i := rng.Intn(len(perIter)); i < len(perIter); i++ {
+				if next[i] < len(perIter[i]) {
+					op := perIter[i][next[i]]
+					next[i]++
+					ops = append(ops, op)
+					if !seen[op.Iter] {
+						seen[op.Iter] = true
+						first = append(first, op.Iter)
+					}
+					left = true
+					break
+				}
+			}
+			for i := range perIter {
+				left = left || next[i] < len(perIter[i])
+			}
+		}
+		want := NewShadows(n)
+		for _, iter := range first {
+			var group []Op
+			for _, op := range ops {
+				if op.Iter == iter {
+					group = append(group, op)
+				}
+			}
+			want.markIteration(group)
+		}
+		got.Reset()
+		got.Mark(ops)
+		return slices.Equal(got.Ar, want.Ar) && slices.Equal(got.Aw, want.Aw) &&
+			slices.Equal(got.Anp, want.Anp) && slices.Equal(got.MinW, want.MinW) &&
+			slices.Equal(got.MaxR1st, want.MaxR1st) && got.Atw == want.Atw
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

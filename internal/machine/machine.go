@@ -346,51 +346,82 @@ type Machine struct {
 	// so ResetMessages touches only queues that carried traffic.
 	msgq    [][][]*pendingMsg
 	activeQ []qref
-	// msgPool recycles message slots; gen guards stale arrival events
-	// against recycled slots.
-	msgPool []*pendingMsg
+	// msgPool recycles message slots; msgSlots lists every slot ever
+	// made, so a reset with no engine events left can reclaim the slots
+	// whose scheduled events were discarded (see ResetMessages).
+	msgPool  []*pendingMsg
+	msgSlots []*pendingMsg
+
+	// wbLine holds the copy of a dirty owner's line written back during
+	// a fetch; the HomeVisitFn receives a pointer to it (see HomeVisitFn).
+	wbLine cache.Line
 }
 
 // qref names one (source, home) message queue in activeQ.
 type qref struct{ from, home int32 }
 
-// pendingMsg is one in-flight deferred protocol message. gen increments on
-// every recycle so that an arrival event scheduled for a previous use of
-// the slot recognizes itself as stale. from and line identify the message
-// for the OnTransaction hook. The handler is a (fn, arg) pair rather
-// than a closure so that hot senders can pass a top-level function and a
-// pooled argument without allocating.
+// pendingMsg is one deferred protocol message slot. Slots are pooled and
+// bind their arrival and retry handlers once, when the slot is made, so
+// sending a message allocates nothing. from and line identify the message
+// for the OnTransaction hook; q and home name the (source, home) queue
+// holding it. The handler is a (fn, arg) pair rather than a closure so
+// that hot senders can pass a top-level function and a pooled argument.
+//
+// events counts the slot's engine events that are scheduled but have not
+// fired. A message delivered early by a drain, or discarded by a reset,
+// is marked done; its slot returns to the pool only once events reaches
+// zero, so a stale event always finds done on the use that scheduled it
+// and never sees the slot recycled.
 type pendingMsg struct {
-	fn   func(arg any) error
-	arg  any
-	from int
-	line mem.Addr
-	done bool
-	gen  uint32
+	m      *Machine
+	fn     func(arg any) error
+	arg    any
+	q      *[]*pendingMsg
+	from   int
+	home   int
+	line   mem.Addr
+	done   bool
+	events int32
+	arrive func()
+	retry  func()
 }
 
-// getMsg takes a message slot from the pool (or allocates one).
-func (m *Machine) getMsg(from int, line mem.Addr, fn func(any) error, arg any) *pendingMsg {
+// getMsg takes a message slot from the pool (or makes one).
+func (m *Machine) getMsg() *pendingMsg {
 	if n := len(m.msgPool); n > 0 {
 		msg := m.msgPool[n-1]
 		m.msgPool = m.msgPool[:n-1]
-		msg.fn = fn
-		msg.arg = arg
-		msg.from = from
-		msg.line = line
-		msg.done = false
 		return msg
 	}
-	return &pendingMsg{fn: fn, arg: arg, from: from, line: line}
+	msg := &pendingMsg{m: m}
+	msg.arrive = msg.onArrive
+	msg.retry = msg.onRetry
+	m.msgSlots = append(m.msgSlots, msg)
+	return msg
 }
 
-// putMsg retires a delivered (or discarded) message slot into the pool.
-func (m *Machine) putMsg(msg *pendingMsg) {
-	msg.fn = nil
-	msg.arg = nil
+// retire marks a delivered or discarded message done. Its slot goes back
+// to the pool now, or when its last scheduled event fires.
+func (m *Machine) retire(msg *pendingMsg) {
+	msg.fn, msg.arg, msg.q = nil, nil, nil
 	msg.done = true
-	msg.gen++
-	m.msgPool = append(m.msgPool, msg)
+	if msg.events == 0 {
+		m.msgPool = append(m.msgPool, msg)
+	}
+}
+
+// fired accounts for one of the slot's scheduled events running and
+// reports whether its message is still undelivered. The last event of a
+// retired slot returns it to the pool.
+func (msg *pendingMsg) fired() bool {
+	msg.events--
+	if !msg.done {
+		return true
+	}
+	if msg.events == 0 {
+		msg.m.msgPool = append(msg.m.msgPool, msg)
+	}
+	return false
 }
 
 // queueFor returns the (from, home) message queue, materializing the
@@ -571,16 +602,25 @@ func (m *Machine) FlushCaches() {
 
 // ResetMessages discards all in-flight deferred messages. Used when a
 // speculative execution is aborted or between loop executions; any engine
-// events still scheduled for these messages become no-ops.
+// events still scheduled for these messages become no-ops. When the engine
+// holds no events at all (the run finished, or an abort drained it), no
+// slot can be waiting for one, and every slot is reclaimed.
 func (m *Machine) ResetMessages() {
 	for _, r := range m.activeQ {
 		qp := &m.msgq[r.from][r.home]
 		for _, msg := range *qp {
-			m.putMsg(msg)
+			m.retire(msg)
 		}
 		*qp = (*qp)[:0]
 	}
 	m.activeQ = m.activeQ[:0]
+	if m.Eng.Pending() == 0 && len(m.msgPool) < len(m.msgSlots) {
+		m.msgPool = m.msgPool[:0]
+		for _, msg := range m.msgSlots {
+			msg.events = 0
+			m.msgPool = append(m.msgPool, msg)
+		}
+	}
 }
 
 // ClearAllBits applies the general access-bit reset to every cache (§4.1,

@@ -610,3 +610,53 @@ func TestDrainMessagesEmptyIsNoop(t *testing.T) {
 	m := testMachine(t, 2)
 	m.DrainMessages(0, 1) // must not panic
 }
+
+// TestDrainedSlotWaitsForItsArrival checks the message-slot lifecycle: a
+// message delivered early by a drain while its arrival event is still
+// scheduled keeps its slot until that event fires, so messages sent in
+// between get other slots, and delivery stays FIFO per (source, home).
+func TestDrainedSlotWaitsForItsArrival(t *testing.T) {
+	m := testMachine(t, 2)
+	arr := localArray(m, "a", 64, 4, 1)
+	var order []int
+	send := func(id int) {
+		m.SendToHome(0, arr.ElemAddr(id), func() error { order = append(order, id); return nil })
+	}
+	send(1)
+	drained := m.msgq[0][1][0]
+	m.DrainMessages(0, 1)
+	if len(m.msgPool) != 0 {
+		t.Fatal("drained slot pooled while its arrival event is pending")
+	}
+	send(2)
+	send(3)
+	for _, msg := range m.msgq[0][1] {
+		if msg == drained {
+			t.Fatal("slot reused before its arrival event fired")
+		}
+	}
+	m.Eng.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("delivery order = %v, want [1 2 3]", order)
+	}
+	if len(m.msgSlots) != 3 || len(m.msgPool) != 3 {
+		t.Fatalf("after the run: %d slots, %d pooled; want 3, 3", len(m.msgSlots), len(m.msgPool))
+	}
+	send(4)
+	m.Eng.Run()
+	if len(m.msgSlots) != 3 || len(order) != 4 || order[3] != 4 {
+		t.Fatalf("pooled slot not reused: %d slots, order %v", len(m.msgSlots), order)
+	}
+
+	// An abort discards scheduled events without firing them; the reset
+	// that follows must still reclaim every slot.
+	send(5)
+	send(6)
+	m.DrainMessages(0, 1)
+	send(7)
+	m.Eng.Drain()
+	m.ResetMessages()
+	if len(m.msgPool) != len(m.msgSlots) {
+		t.Fatalf("after abort reset: %d of %d slots pooled", len(m.msgPool), len(m.msgSlots))
+	}
+}

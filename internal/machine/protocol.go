@@ -168,9 +168,11 @@ func (m *Machine) downgradeProcLine(p int, line mem.Addr) (cache.Line, bool) {
 // HomeVisitFn runs while a fetch transaction is being serviced at the home
 // directory, after any dirty owner's copy has been written back; wb is the
 // written-back line (nil when there was none) and wbOwner the processor
-// that held it dirty. It returns the access bits to install with the line
-// in the requester's caches (nil for a plain line) and a non-nil error to
-// abort the transaction (a speculation FAIL).
+// that held it dirty. wb points into machine-owned scratch and is valid
+// only during the call: the function must not retain it. It returns the
+// access bits to install with the line in the requester's caches (nil
+// for a plain line) and a non-nil error to abort the transaction (a
+// speculation FAIL).
 type HomeVisitFn func(wb *cache.Line, wbOwner int) ([]abits.Word, error)
 
 // FetchRead services a read miss: the line containing a is brought into
@@ -192,7 +194,8 @@ func (m *Machine) FetchRead(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, er
 		m.Dirs[h].Stats.WritebackReqs++
 		owner := int(e.Owner)
 		if old, ok := m.downgradeProcLine(owner, line); ok {
-			wb = &old
+			m.wbLine = old
+			wb = &m.wbLine
 			wbOwner = owner
 		}
 		e.ClearToUncached()
@@ -254,7 +257,8 @@ func (m *Machine) FetchWrite(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, e
 			m.Stats.Writebacks++
 			m.Dirs[h].Stats.WritebackReqs++
 			if old, ok := m.takeProcLine(int(e.Owner), line); ok {
-				wb = &old
+				m.wbLine = old
+				wb = &m.wbLine
 				wbOwner = int(e.Owner)
 			}
 			threeHop = true
@@ -379,43 +383,56 @@ func (m *Machine) SendToHomeArg(from int, a mem.Addr, fn func(any) error, arg an
 	m.Stats.Messages++
 	h := m.HomeOf(a)
 	q := m.queueFor(from, h)
-	msg := m.getMsg(from, m.LineAddr(a), fn, arg)
-	gen := msg.gen
+	msg := m.getMsg()
+	msg.fn, msg.arg, msg.q = fn, arg, q
+	msg.from, msg.home, msg.line = from, h, m.LineAddr(a)
+	msg.done = false
 	if len(*q) == 0 {
 		m.activeQ = append(m.activeQ, qref{int32(from), int32(h)})
 	}
 	*q = append(*q, msg)
-	m.Eng.Schedule(m.msgLatency(from, h), func() {
-		if msg.gen != gen || msg.done {
-			return // delivered early by a drain (slot may be recycled)
-		}
-		wait := m.homeVisit(h, m.Eng.Now(), m.Cfg.Lat.HomeOccMsg)
-		if wait > 0 {
-			m.Eng.Schedule(wait, func() {
-				if msg.gen == gen && !msg.done {
-					m.deliverThrough(q, msg)
-				}
-			})
-		} else {
-			m.deliverThrough(q, msg)
-		}
-	})
+	msg.events++
+	m.Eng.Schedule(m.msgLatency(from, h), msg.arrive)
+}
+
+// onArrive is a message's arrival at its home: it waits for the home to
+// be free, then delivers the queue through this message. A message
+// already delivered by a drain or discarded by a reset is skipped.
+func (msg *pendingMsg) onArrive() {
+	if !msg.fired() {
+		return
+	}
+	m := msg.m
+	if wait := m.homeVisit(msg.home, m.Eng.Now(), m.Cfg.Lat.HomeOccMsg); wait > 0 {
+		msg.events++
+		m.Eng.Schedule(wait, msg.retry)
+		return
+	}
+	m.deliverThrough(msg.q, msg)
+}
+
+// onRetry delivers a message that had to wait for its home.
+func (msg *pendingMsg) onRetry() {
+	if msg.fired() {
+		msg.m.deliverThrough(msg.q, msg)
+	}
 }
 
 // deliverThrough delivers queued (source, home) messages in FIFO order up
 // to and including msg. The queue is re-read every iteration: a handler
 // may enqueue new messages for the same pair while we deliver, and those
-// must survive behind the current tail.
+// must survive behind the current tail. Popping shifts the (short) queue
+// down rather than reslicing past its head, so the backing array keeps
+// its capacity and later sends to the pair do not reallocate it.
 func (m *Machine) deliverThrough(q *[]*pendingMsg, msg *pendingMsg) {
 	for len(*q) > 0 {
 		head := (*q)[0]
-		*q = (*q)[1:]
+		*q = (*q)[:copy(*q, (*q)[1:])]
 		// Queued entries are always undelivered: every delivery path
 		// removes the message from its queue before retiring it.
 		last := head == msg
-		head.done = true
 		fn, arg, from, line := head.fn, head.arg, head.from, head.line
-		m.putMsg(head)
+		m.retire(head)
 		if err := fn(arg); err != nil && m.OnFail != nil {
 			m.OnFail(err)
 		}
@@ -429,7 +446,7 @@ func (m *Machine) deliverThrough(q *[]*pendingMsg, msg *pendingMsg) {
 // DrainMessages delivers all in-flight messages from processor p to home
 // h immediately, preserving FIFO order. Synchronous transactions call this
 // so they cannot overtake the processor's own earlier messages. The
-// scheduled arrival events become stale no-ops (generation guard).
+// scheduled arrival events become no-ops (see pendingMsg).
 func (m *Machine) DrainMessages(p, h int) {
 	row := m.msgq[p]
 	if row == nil || len(row[h]) == 0 {
@@ -444,9 +461,8 @@ func (m *Machine) DrainMessages(p, h int) {
 	for _, msg := range q {
 		// Queued entries are always undelivered (delivery always pops
 		// first), so each is retired exactly once here.
-		msg.done = true
 		fn, arg, from, line := msg.fn, msg.arg, msg.from, msg.line
-		m.putMsg(msg)
+		m.retire(msg)
 		if m.Cfg.Contention {
 			m.Home[h].Acquire(m.Eng.Now(), m.Cfg.Lat.HomeOccMsg)
 		}

@@ -112,6 +112,10 @@ type loopGen struct {
 	haveBlock bool
 	grabbing  bool // dynamic: the lock/grab sequence is in flight
 	finished  bool
+
+	// ctx is the emission context handed to the workload body, reused
+	// for every iteration (Body must not retain it).
+	ctx Ctx
 }
 
 // fill hands the processor a view of the already-generated remainder of
@@ -151,8 +155,8 @@ func (g *loopGen) generate() {
 	s := g.s
 	if g.haveBlock && g.curIter < g.cur.Hi {
 		// Emit one iteration of the current block.
-		c := &Ctx{s: s, p: g.p, exec: g.exec, iter: g.curIter, buf: &g.buf}
-		s.w.Body(g.exec, g.curIter, c)
+		g.ctx = Ctx{s: s, p: g.p, exec: g.exec, iter: g.curIter, buf: &g.buf}
+		s.w.Body(g.exec, g.curIter, &g.ctx)
 		g.curIter++
 		return
 	}

@@ -123,7 +123,8 @@ type Workload struct {
 	// Iterations returns the trip count of execution exec.
 	Iterations func(exec int) int
 	Arrays     []ArraySpec
-	// Body emits the work of one iteration.
+	// Body emits the work of one iteration. c is reused for the next
+	// iteration, so Body must not retain it after returning.
 	Body func(exec, iter int, c *Ctx)
 
 	// Scheduling per mode. A zero Config means static chunking.
