@@ -26,6 +26,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -309,11 +310,25 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxJobBody bounds a submission body. A JobRequest is a dozen short
+// named fields, so any body near this size is malformed or hostile.
+const maxJobBody = 64 << 10
+
 // handleSubmit admits, sheds, or short-circuits (cache hit) a job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Decoding is strict: an unknown (removed or misspelled) field is a
+	// 400 naming it, not a silently ignored setting cached under the
+	// default config's key.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.metrics.badRequest.Add(1)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusBadRequest, "bad job request: body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,28 +88,38 @@ func TestSubmitBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		body any
+		want string // substring the 400 must carry, when set
 	}{
-		{"unknown workload", JobRequest{Workload: "Nope", Mode: "hw", Procs: 4}},
-		{"unknown mode", JobRequest{Workload: "Track", Mode: "warp", Procs: 4}},
-		{"zero procs", JobRequest{Workload: "Track", Mode: "hw", Procs: 0}},
-		{"bad topology", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Topology: "torus"}},
-		{"bad placement", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Placement: "everywhere"}},
-		{"bad dirmode", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, DirMode: "sparse"}},
-		{"bad sched", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Sched: "guided:2"}},
-		{"mesh too small", JobRequest{Workload: "Track", Mode: "hw", Procs: 16, Topology: "mesh:2x2"}},
-		{"bad policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "magic"}},
-		{"bad director", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "adaptive", Director: "oracle"}},
-		{"director without policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Director: "threshold"}},
-		{"negative shards", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Shards: -1}},
-		{"shards beyond procs", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Shards: 8}},
-		{"non-power-of-two mesh shards", JobRequest{Workload: "Track", Mode: "hw", Procs: 16, Topology: "mesh", Shards: 3}},
-		{"not json", "]"},
+		{"unknown workload", JobRequest{Workload: "Nope", Mode: "hw", Procs: 4}, ""},
+		{"unknown mode", JobRequest{Workload: "Track", Mode: "warp", Procs: 4}, ""},
+		{"zero procs", JobRequest{Workload: "Track", Mode: "hw", Procs: 0}, ""},
+		{"bad topology", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Topology: "torus"}, ""},
+		{"bad placement", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Placement: "everywhere"}, ""},
+		{"bad dirmode", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, DirMode: "sparse"}, ""},
+		{"bad sched", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Sched: "guided:2"}, ""},
+		{"mesh too small", JobRequest{Workload: "Track", Mode: "hw", Procs: 16, Topology: "mesh:2x2"}, ""},
+		{"bad policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "magic"}, ""},
+		{"bad director", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "adaptive", Director: "oracle"}, ""},
+		{"director without policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Director: "threshold"}, ""},
+		{"not json", "]", ""},
+		// Strict decoding: a removed field, a misspelled one and an
+		// oversized body are rejected by name, never silently ignored.
+		{"removed shards field", map[string]any{"workload": "Track", "mode": "hw", "procs": 4, "shards": 4}, `unknown field "shards"`},
+		{"misspelled field", map[string]any{"workload": "Track", "mode": "hw", "proc": 4}, `unknown field "proc"`},
+		{"oversized body", map[string]any{"workload": strings.Repeat("x", maxJobBody), "mode": "hw", "procs": 4}, strconv.Itoa(maxJobBody)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := post(t, s, tc.body, "")
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("got %d, want 400: %s", w.Code, w.Body)
+			}
+			var e struct{ Error string }
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+				t.Fatalf("400 body is not a JSON error: %s", w.Body)
+			}
+			if !strings.Contains(e.Error, tc.want) {
+				t.Fatalf("400 error %q does not name %q", e.Error, tc.want)
 			}
 		})
 	}
@@ -235,38 +246,6 @@ func TestByteIdenticalWithLocal(t *testing.T) {
 	}
 	if !bytes.Equal(remote, local) {
 		t.Fatalf("server and local bytes differ:\nserver: %s\nlocal:  %s", remote, local)
-	}
-}
-
-// TestShardedJobByteIdentical: a job that asks for the sharded executor
-// returns exactly the bytes the engine-only executor produces — shards
-// change wall-clock, never results.
-func TestShardedJobByteIdentical(t *testing.T) {
-	s := New(Options{Scale: harness.Quick})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	cl := &Client{BaseURL: ts.URL, Tenant: "test", PollInterval: 2 * time.Millisecond}
-
-	base := JobRequest{Workload: "Ocean", Mode: "hw", Procs: 4}
-	var want []byte
-	for _, shards := range []int{0, 2, 4} {
-		req := base
-		req.Shards = shards
-		sub, err := cl.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.WaitResult(sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards == 0 {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d report differs from engine-only:\nsharded:  %s\nbaseline: %s", shards, got, want)
-		}
 	}
 }
 
