@@ -219,6 +219,9 @@ type System struct {
 	failure  *core.Failure
 	running  int
 	started  sim.Time
+
+	// doneSrc is RunSlices' reusable slice of noInstr sources.
+	doneSrc []Source
 }
 
 type lock struct {
@@ -298,6 +301,12 @@ func (s *System) Run(procIDs []int, sources []Source, bulk ...[]BulkSource) sim.
 			panic("cpu: bulk sources and sources length mismatch")
 		}
 	}
+	return s.run(procIDs, sources, bulks, nil)
+}
+
+// run starts the processors of one phase and runs the engine until it
+// drains. queues, when non-nil, preloads each processor's bulk queue.
+func (s *System) run(procIDs []int, sources []Source, bulks []BulkSource, queues [][]Instr) sim.Time {
 	s.aborted = false
 	s.excepted = false
 	s.failure = nil
@@ -323,6 +332,9 @@ func (s *System) Run(procIDs []int, sources []Source, bulk ...[]BulkSource) sim.
 			p.bulk = bulks[i]
 		}
 		p.q, p.qh = nil, 0
+		if queues != nil {
+			p.q = queues[i]
+		}
 		p.Done = false
 		p.blocked = false
 		p.hasPending = false
@@ -627,8 +639,11 @@ func (s *System) lockRelease(p *Proc, id int) {
 	}
 	w := l.waiters[0]
 	at := l.arrived[0]
-	l.waiters = l.waiters[1:]
-	l.arrived = l.arrived[1:]
+	// Pop by shifting, not reslicing: l.waiters[1:] would leak a slot of
+	// capacity per handoff, and lockAcquire would keep regrowing the
+	// lists.
+	l.waiters = l.waiters[:copy(l.waiters, l.waiters[1:])]
+	l.arrived = l.arrived[:copy(l.arrived, l.arrived[1:])]
 	handoff := s.Costs.LockHandoff
 	w.blocked = false
 	w.waitKind = ""
@@ -681,27 +696,24 @@ func SliceSource(instrs []Instr) Source {
 	}
 }
 
-// SliceSourceBulk adapts a pre-built instruction slice into a Source and
-// a matching BulkSource. A fixed slice has no generation side effects,
-// so the bulk view can always hand over the whole remainder. The caller
-// must not mutate instrs while the processor runs.
-func SliceSourceBulk(instrs []Instr) (Source, BulkSource) {
-	i := 0
-	src := func(*Proc) (Instr, bool) {
-		if i >= len(instrs) {
-			return Instr{}, false
-		}
-		in := instrs[i]
-		i++
-		return in, true
+// RunSlices is Run over pre-built instruction slices (streams[i] drives
+// processor procIDs[i]): each slice goes straight into its processor's
+// bulk queue, so a phase whose work is fully generated up front needs no
+// per-processor source closures. The caller must not mutate the slices
+// while the processors run.
+func (s *System) RunSlices(procIDs []int, streams [][]Instr) sim.Time {
+	if len(procIDs) != len(streams) {
+		panic("cpu: procIDs and streams length mismatch")
 	}
-	bulk := func(*Proc) []Instr {
-		if i >= len(instrs) {
-			return nil
+	if cap(s.doneSrc) < len(procIDs) {
+		s.doneSrc = make([]Source, len(procIDs))
+		for i := range s.doneSrc {
+			s.doneSrc[i] = noInstr
 		}
-		b := instrs[i:]
-		i = len(instrs)
-		return b
 	}
-	return src, bulk
+	return s.run(procIDs, s.doneSrc[:len(procIDs)], nil, streams)
 }
+
+// noInstr is the source behind a RunSlices queue: once the queue is
+// consumed the processor has no more work.
+func noInstr(*Proc) (Instr, bool) { return Instr{}, false }

@@ -368,3 +368,29 @@ func TestLockStateResetsBetweenRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestContendedLockHandoffAllocs: lock handoffs pop waiters by shifting
+// the retained lists, so once a contended phase has sized them, running
+// it again allocates nothing.
+func TestContendedLockHandoffAllocs(t *testing.T) {
+	s, _ := newSys(t, 4, false)
+	ids := []int{0, 1, 2, 3}
+	streams := make([][]Instr, len(ids))
+	for i := range streams {
+		for k := 0; k < 50; k++ {
+			streams[i] = append(streams[i], LockAcq(1), Compute(10), LockRel(1))
+		}
+	}
+	// Size the lock lists, and let the advancing clock visit (and grow)
+	// every timing-wheel bucket.
+	for i := 0; i < 500; i++ {
+		s.RunSlices(ids, streams)
+	}
+	allocs := testing.AllocsPerRun(5, func() { s.RunSlices(ids, streams) })
+	if allocs != 0 {
+		t.Fatalf("contended lock phase allocated %.0f times per run, want 0", allocs)
+	}
+	if cap(s.locks[1].waiters) == 0 {
+		t.Fatal("the lock was never contended")
+	}
+}

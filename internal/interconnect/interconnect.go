@@ -246,6 +246,10 @@ type Network interface {
 	MinLatency(from, to int, base sim.Time) sim.Time
 	// Reset clears link queue state and statistics.
 	Reset()
+	// Links exposes the topology's link servers (nil for Ideal), so a
+	// caller that splits a run into pieces can carry link reservations
+	// from one piece into the next.
+	Links() []sim.Server
 	// Stats reports accumulated traffic.
 	Stats() Stats
 }

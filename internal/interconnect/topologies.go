@@ -14,6 +14,7 @@ func (idealNet) Kind() Kind                                      { return Ideal 
 func (idealNet) Send(from, to int, now, base sim.Time) sim.Time  { return base }
 func (idealNet) MinLatency(from, to int, base sim.Time) sim.Time { return base }
 func (idealNet) Reset()                                          {}
+func (idealNet) Links() []sim.Server                             { return nil }
 func (idealNet) Stats() Stats                                    { return Stats{} }
 
 // ----- Bus -----
@@ -46,6 +47,7 @@ func (b *busNet) Send(from, to int, now, base sim.Time) sim.Time {
 
 func (b *busNet) MinLatency(from, to int, base sim.Time) sim.Time { return base }
 func (b *busNet) Reset()                                          { resetLinks(b.link); b.msgs = 0 }
+func (b *busNet) Links() []sim.Server                             { return b.link }
 func (b *busNet) Stats() Stats                                    { return aggregate(b.link, b.msgs) }
 
 // ----- Crossbar -----
@@ -79,6 +81,7 @@ func (x *xbarNet) Send(from, to int, now, base sim.Time) sim.Time {
 
 func (x *xbarNet) MinLatency(from, to int, base sim.Time) sim.Time { return base }
 func (x *xbarNet) Reset()                                          { resetLinks(x.ports); x.msgs = 0 }
+func (x *xbarNet) Links() []sim.Server                             { return x.ports }
 func (x *xbarNet) Stats() Stats                                    { return aggregate(x.ports, x.msgs) }
 
 // ----- Mesh -----
@@ -187,8 +190,9 @@ func (m *meshNet) MinLatency(from, to int, base sim.Time) sim.Time {
 	return sim.Time(abs(x1-x0)+abs(y1-y0)) * m.hop
 }
 
-func (m *meshNet) Reset()       { resetLinks(m.links); m.msgs = 0 }
-func (m *meshNet) Stats() Stats { return aggregate(m.links, m.msgs) }
+func (m *meshNet) Reset()              { resetLinks(m.links); m.msgs = 0 }
+func (m *meshNet) Links() []sim.Server { return m.links }
+func (m *meshNet) Stats() Stats        { return aggregate(m.links, m.msgs) }
 
 func abs(x int) int {
 	if x < 0 {

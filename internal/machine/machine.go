@@ -31,6 +31,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"specrt/internal/abits"
 	"specrt/internal/cache"
@@ -374,7 +375,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		Cfg:       cfg,
-		Eng:       sim.NewEngine(),
+		Eng:       getEngine(),
 		Space:     mem.NewSpace(cfg.Procs),
 		Procs:     make([]*Proc, cfg.Procs),
 		Dirs:      make([]*directory.Directory, cfg.Procs),
@@ -392,9 +393,21 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Release returns the caches' access-bit slabs and the directory table
-// to their pools. The machine must not simulate afterwards; call it
-// once its final stats have been collected.
+// enginePool recycles engines across machines: a fresh engine regrows
+// its timing-wheel buckets on every run, which was most of a short
+// run's allocations.
+var enginePool sync.Pool
+
+func getEngine() *sim.Engine {
+	if e, ok := enginePool.Get().(*sim.Engine); ok {
+		return e
+	}
+	return sim.NewEngine()
+}
+
+// Release returns the engine, the caches' access-bit slabs and the
+// directory table to their pools. The machine must not simulate
+// afterwards; call it once its final stats have been collected.
 func (m *Machine) Release() {
 	for _, p := range m.Procs {
 		p.L1.Release()
@@ -403,6 +416,11 @@ func (m *Machine) Release() {
 	if m.DirTable != nil {
 		m.DirTable.Release()
 		m.DirTable = nil
+	}
+	if m.Eng != nil {
+		m.Eng.Reset()
+		enginePool.Put(m.Eng)
+		m.Eng = nil
 	}
 }
 

@@ -421,26 +421,71 @@ func TestChargeHomeTransfer(t *testing.T) {
 
 // Inclusion invariant: after arbitrary plain traffic, every L1-resident
 // line is also L2-resident.
+// TestInclusionInvariant: after heavy conflicting traffic, every line
+// resident in an L1 is resident in its L2 (L1 ⊆ L2). The coarse case
+// drives a coarse directory past its four sharer pointers, so writes
+// invalidate whole processor groups — mostly non-holders, which the
+// invalidation probe skips on an L2 miss because inclusion guarantees
+// an L1 miss too; a written line must then be held by its writer alone.
 func TestInclusionInvariant(t *testing.T) {
-	m := testMachine(t, 2)
-	arr := m.Space.Alloc("a", 1<<16, 4, mem.RoundRobin, 0)
-	// Touch many conflicting addresses.
-	for i := 0; i < 5000; i++ {
-		a := arr.ElemAddr((i * 97) % arr.Elems)
-		if i%3 == 0 {
-			m.Write(i%2, a)
-		} else {
-			m.Read(i%2, a)
+	t.Run("full-map", func(t *testing.T) {
+		m := testMachine(t, 2)
+		arr := m.Space.Alloc("a", 1<<16, 4, mem.RoundRobin, 0)
+		// Touch many conflicting addresses.
+		for i := 0; i < 5000; i++ {
+			a := arr.ElemAddr((i * 97) % arr.Elems)
+			if i%3 == 0 {
+				m.Write(i%2, a)
+			} else {
+				m.Read(i%2, a)
+			}
 		}
-	}
-	// Structural check: re-probe a sample of recently touched lines.
-	for i := 4000; i < 5000; i++ {
-		a := arr.ElemAddr((i * 97) % arr.Elems)
-		p := m.Procs[i%2]
-		if p.L1.Resident(a) && !p.L2.Resident(a) {
-			t.Fatalf("inclusion violated for %#x", a)
+		// Structural check: re-probe a sample of recently touched lines.
+		for i := 4000; i < 5000; i++ {
+			a := arr.ElemAddr((i * 97) % arr.Elems)
+			p := m.Procs[i%2]
+			if p.L1.Resident(a) && !p.L2.Resident(a) {
+				t.Fatalf("inclusion violated for %#x", a)
+			}
 		}
-	}
+	})
+	t.Run("coarse-superset", func(t *testing.T) {
+		const procs = 64
+		cfg := DefaultConfig(procs)
+		cfg.Contention = false
+		cfg.DirMode = directory.Coarse
+		// Small caches force evictions alongside the invalidations.
+		cfg.L1 = cache.Config{SizeBytes: 1024, LineBytes: 64}
+		cfg.L2 = cache.Config{SizeBytes: 4096, LineBytes: 64}
+		m := MustNew(cfg)
+		arr := m.Space.Alloc("a", 1<<12, 4, mem.RoundRobin, 0)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 20000; i++ {
+			a := arr.ElemAddr(rng.Intn(arr.Elems / 16)) // 256 hot lines
+			p := rng.Intn(procs)
+			if i%8 == 0 {
+				m.Write(p, a)
+				for q, pr := range m.Procs {
+					if q != p && (pr.L1.Resident(a) || pr.L2.Resident(a)) {
+						t.Fatalf("write by %d left a copy of %#x at %d", p, a, q)
+					}
+				}
+			} else {
+				m.Read(p, a)
+			}
+		}
+		if m.Stats.Invalidations == 0 {
+			t.Fatal("no invalidations: the superset path was not exercised")
+		}
+		for e := 0; e < arr.Elems; e += 16 {
+			a := arr.ElemAddr(e)
+			for _, pr := range m.Procs {
+				if pr.L1.Resident(a) && !pr.L2.Resident(a) {
+					t.Fatalf("inclusion violated for %#x at %d", a, pr.ID)
+				}
+			}
+		}
+	})
 }
 
 func TestDirtyL1EvictionMergesToL2(t *testing.T) {

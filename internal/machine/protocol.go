@@ -123,23 +123,22 @@ func (m *Machine) msgLatency(from, to int) sim.Time {
 // copy (L1 bits and state win over L2 under inclusion).
 func (m *Machine) takeProcLine(p int, line mem.Addr) (cache.Line, bool) {
 	pr := m.Procs[p]
-	l1, ok1 := pr.L1.Invalidate(line)
-	l2, ok2 := pr.L2.Invalidate(line)
-	switch {
-	case ok1 && ok2:
+	// Probe L2 first: inclusion (L1 ⊆ L2) makes an L2 miss an L1 miss
+	// too, and most invalidation probes — superset invalidations of the
+	// coarse directory above all — find nothing.
+	l2, ok := pr.L2.Invalidate(line)
+	if !ok {
+		return cache.Line{}, false
+	}
+	if l1, ok1 := pr.L1.Invalidate(line); ok1 {
 		if l1.State == cache.Dirty {
 			l2.State = cache.Dirty
 		}
 		if l1.Bits != nil {
 			l2.Bits = l1.Bits
 		}
-		return l2, true
-	case ok2:
-		return l2, true
-	case ok1:
-		return l1, true
 	}
-	return cache.Line{}, false
+	return l2, true
 }
 
 // downgradeProcLine moves p's copy of line to Clean and returns the

@@ -251,5 +251,7 @@ func ExecuteAdaptive(w *Workload, cfg Config, d policy.Director, progress Progre
 	if err := validate(w, cfg); err != nil {
 		return nil, err
 	}
+	simulating.Add(1)
+	defer simulating.Add(-1)
 	return executeAdaptive(w, cfg, d, progress)
 }

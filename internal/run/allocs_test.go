@@ -11,14 +11,17 @@ import (
 // TestSteadyStateAllocs guards the allocation budget of a warmed
 // execution: deferred protocol messages, iteration contexts, writeback
 // copies, LRPD grouping and cache frame bookkeeping all reuse their
-// storage, so what remains is per-execution setup (machine, engine
-// buckets, copy-phase sources). Each bound is about 1.25x the count
-// measured on linux/amd64 with Go 1.24; a regression in one of the
-// per-access paths adds tens of thousands.
+// storage, so what remains is per-run setup (machine, controller). With
+// warm pools the run measures HW 741, SW 425 on linux/amd64 with Go 1.24
+// (AllocsPerRun pins GOMAXPROCS to 1, so the executions run chained). A
+// collection that empties the engine pool adds a fresh engine's bucket
+// growth back, so each bound stays about 1.25x the count measured
+// before engines were pooled (HW 3322, SW 3561); a regression in one of
+// the per-access paths adds tens of thousands.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		mode run.Mode
-		max  float64 // measured: HW 3322, SW 3561
+		max  float64
 	}{
 		{run.HW, 4150},
 		{run.SW, 4450},

@@ -124,7 +124,9 @@ type Workload struct {
 	Iterations func(exec int) int
 	Arrays     []ArraySpec
 	// Body emits the work of one iteration. c is reused for the next
-	// iteration, so Body must not retain it after returning.
+	// iteration, so Body must not retain it after returning. Body and
+	// Iterations may be called from several goroutines at once (see
+	// Execute), so they must be pure functions of their arguments.
 	Body func(exec, iter int, c *Ctx)
 
 	// Scheduling per mode. A zero Config means static chunking.
@@ -321,18 +323,24 @@ func Speedup(serial, parallel *Result) float64 {
 }
 
 // ProgressFunc observes per-execution progress of one Execute call:
-// done of total loop executions have completed. Hooks are invoked
-// synchronously on the simulating goroutine between executions; they
+// done of total loop executions have completed. Hooks are invoked in
+// execution order, synchronously, from the goroutine that called
+// Execute — also when the executions themselves are simulated on
+// several goroutines, since they complete as their results merge. They
 // must not block for long and must not call back into the session.
 type ProgressFunc func(done, total int)
 
 // Execute simulates workload w under cfg.
 //
-// Each call builds a private engine, machine and controller, so Execute
+// Each call builds private engines, machines and controllers, so Execute
 // is safe to call concurrently — including for the same *Workload,
 // provided the workload's Iterations/Arrays/Body are pure (true for all
-// of internal/loops). Results are deterministic functions of (w, cfg):
-// the parallel harness executor depends on both properties.
+// of internal/loops). A single call may itself simulate a run's loop
+// executions on several goroutines when the host has idle cores (see
+// executeParallel), so purity is required even without concurrent
+// callers. Results are deterministic functions of (w, cfg), whatever
+// the number of goroutines: the parallel harness executor depends on
+// both properties.
 func Execute(w *Workload, cfg Config) (*Result, error) {
 	return ExecuteWithProgress(w, cfg, nil)
 }
@@ -345,6 +353,8 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	if err := validate(w, cfg); err != nil {
 		return nil, err
 	}
+	simulating.Add(1)
+	defer simulating.Add(-1)
 	if cfg.Policy == policy.Adaptive {
 		d, err := policy.New(cfg.Director, policy.Decision{Strategy: staticStrategy(w, cfg.Mode)})
 		if err != nil {
@@ -366,6 +376,24 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	if progress != nil {
 		progress(0, execs)
 	}
+	if helpers, borrowed := borrowHelpers(execs, cfg); helpers > 0 {
+		executeParallel(s, res, execs, helpers, borrowed, progress)
+	} else {
+		executeChained(s, res, execs, progress)
+	}
+	// All stats are collected; hand the cache tag slabs and the session's
+	// growth buffers back to their pools for the next Execute call.
+	s.m.Release()
+	s.release()
+	return res, nil
+}
+
+// executeChained runs the executions one after another on session s:
+// the reference the parallel executor must reproduce, and the executor
+// of runs with one execution, no idle core, or an AdaptiveAfter
+// fallback to apply.
+func executeChained(s *session, res *Result, execs int, progress ProgressFunc) {
+	cfg := s.cfg
 	consecFails := 0
 	for exec := 0; exec < execs; exec++ {
 		if cfg.AdaptiveAfter > 0 && cfg.Mode != Serial &&
@@ -399,11 +427,6 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	}
 	res.NetStats = s.m.Net.Stats()
 	res.HomeQueue = s.m.HomeStats()
-	// All stats are collected; hand the cache tag slabs and the session's
-	// growth buffers back to their pools for the next Execute call.
-	s.m.Release()
-	s.release()
-	return res, nil
 }
 
 // MustExecute is Execute for known-good configurations.

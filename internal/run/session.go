@@ -25,7 +25,9 @@ const (
 // beyond the lock round trip.
 const grabCost = 6
 
-// session holds the simulated state for one Execute call.
+// session holds the simulated state of one machine. An Execute call
+// simulates on one session, plus one per helper goroutine when its
+// executions run in parallel (see executeParallel).
 type session struct {
 	w   *Workload
 	cfg Config
@@ -71,11 +73,9 @@ type session struct {
 	sparseSaved []*arena.Bits
 	trace       [][]lrpd.Op   // [array] recorded accesses of this execution
 	staticMap   []sched.Block // schedule used, for the processor-wise test
-	// insBuf/srcBuf/bulkBuf are the reusable per-processor instruction
-	// buffers of the copy and merge phases.
-	insBuf  [][]cpu.Instr
-	srcBuf  []cpu.Source
-	bulkBuf []cpu.BulkSource
+	// insBuf holds the reusable per-processor instruction buffers of the
+	// copy and merge phases.
+	insBuf [][]cpu.Instr
 	// loopBufs/loopGens are the reusable per-processor generator state of
 	// the loop phase; the generated-instruction buffers persist across
 	// windows and executions.
@@ -494,18 +494,15 @@ func (s *session) elemsPerLine(r mem.Region) int {
 	return n
 }
 
-// phaseBufs returns the session's reusable per-processor source and
+// phaseBufs materializes the session's reusable per-processor
 // instruction buffers (the phases run back-to-back, never concurrently).
-func (s *session) phaseBufs() []cpu.Source {
-	if s.srcBuf == nil {
-		s.srcBuf = make([]cpu.Source, s.procs)
-		s.bulkBuf = make([]cpu.BulkSource, s.procs)
+func (s *session) phaseBufs() {
+	if s.insBuf == nil {
 		s.insBuf = make([][]cpu.Instr, s.procs)
 		for p := range s.insBuf {
 			s.insBuf[p] = getInstrBuf()
 		}
 	}
-	return s.srcBuf
 }
 
 // copyPhase runs the parallel backup (restore=false) or restore
@@ -513,7 +510,7 @@ func (s *session) phaseBufs() []cpu.Source {
 // zero-out on the backup pass. Work is chunked across processors and
 // closed with a barrier.
 func (s *session) copyPhase(restore bool) {
-	sources := s.phaseBufs()
+	s.phaseBufs()
 	for p := 0; p < s.procs; p++ {
 		ins := s.insBuf[p][:0]
 		for i, a := range s.w.Arrays {
@@ -554,9 +551,8 @@ func (s *session) copyPhase(restore bool) {
 		}
 		ins = append(ins, cpu.Barrier(phaseBarrier))
 		s.insBuf[p] = ins
-		sources[p], s.bulkBuf[p] = cpu.SliceSourceBulk(ins)
 	}
-	s.sys.Run(s.procIDs, sources, s.bulkBuf)
+	s.sys.RunSlices(s.procIDs, s.insBuf)
 }
 
 // lineSaved reports whether any element of the line starting at e was
@@ -616,7 +612,7 @@ func (s *session) copyOutPhase() {
 // chunk of the merged global shadows. Per-processor work stays constant
 // as processors are added (§6.3), which is what limits SW scalability.
 func (s *session) mergePhase() {
-	sources := s.phaseBufs()
+	s.phaseBufs()
 	for p := 0; p < s.procs; p++ {
 		ins := s.insBuf[p][:0]
 		for i, a := range s.w.Arrays {
@@ -656,7 +652,6 @@ func (s *session) mergePhase() {
 		}
 		ins = append(ins, cpu.Barrier(phaseBarrier))
 		s.insBuf[p] = ins
-		sources[p], s.bulkBuf[p] = cpu.SliceSourceBulk(ins)
 	}
-	s.sys.Run(s.procIDs, sources, s.bulkBuf)
+	s.sys.RunSlices(s.procIDs, s.insBuf)
 }

@@ -142,6 +142,29 @@ type Engine struct {
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset returns the engine to the state NewEngine makes — time zero, no
+// events, no order policy, the wheel enabled — while keeping the capacity
+// of its wheel buckets, heap and event slots, so a reused engine
+// schedules without regrowing them. Pending closures are dropped.
+func (e *Engine) Reset() {
+	for i := range e.l0 {
+		clear(e.l0[i])
+		e.l0[i] = e.l0[i][:0]
+	}
+	for i := range e.l1 {
+		clear(e.l1[i])
+		e.l1[i] = e.l1[i][:0]
+	}
+	clear(e.pool)
+	*e = Engine{
+		pool: e.pool[:0],
+		heap: e.heap[:0],
+		free: e.free[:0],
+		l0:   e.l0,
+		l1:   e.l1,
+	}
+}
+
 // SetOrderPolicy installs p as the same-cycle tie-break policy for events
 // scheduled from now on; nil restores FIFO order. Events already in the
 // queue keep the rank they were scheduled with.

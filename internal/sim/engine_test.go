@@ -394,3 +394,55 @@ func TestOrderPolicyRespectsTime(t *testing.T) {
 		t.Fatalf("time order violated: %v", got)
 	}
 }
+
+// TestResetMatchesFreshEngine: a reset engine forgets its clock, queue
+// and order policy, runs a schedule exactly as a new engine does, and —
+// having kept its bucket, heap and slot capacity — replays it without
+// allocating.
+func TestResetMatchesFreshEngine(t *testing.T) {
+	var got []int
+	fns := make([]func(), 64)
+	for i := range fns {
+		i := i
+		fns[i] = func() { got = append(got, i) }
+	}
+	// Near events ride the wheel (both levels), far ones the heap.
+	schedule := func(e *Engine) {
+		for i, fn := range fns {
+			e.Schedule(Time(i*i*7%40000), fn)
+		}
+	}
+	fresh := NewEngine()
+	schedule(fresh)
+	fresh.Run()
+	want := append([]int(nil), got...)
+
+	e := NewEngine()
+	e.SetOrderPolicy(SeededOrder(3))
+	schedule(e)
+	for i := 0; i < 10; i++ {
+		e.Step()
+	}
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.EventsRun() != 0 || e.OrderPolicyActive() {
+		t.Fatalf("after Reset: now %d pending %d run %d policy %v",
+			e.Now(), e.Pending(), e.EventsRun(), e.OrderPolicyActive())
+	}
+	got = got[:0]
+	schedule(e)
+	e.Run()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset engine order = %v, want %v", got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		e.Reset()
+		got = got[:0]
+		schedule(e)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("replay on a reset engine allocates %.1f objects, want 0", allocs)
+	}
+}

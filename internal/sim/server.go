@@ -14,6 +14,9 @@ package sim
 // and never allocates on the Acquire path.
 type Server struct {
 	busyUntil Time
+	// first is the arrival time of the first Acquire since the last
+	// Reset or Seed (meaningful while Requests > 0).
+	first Time
 
 	// ends is the optional depth-tracking ring (see TrackDepth): the
 	// service-end times of transactions still in the system, oldest at
@@ -66,6 +69,9 @@ func (s *Server) Acquire(now Time, occ Time) (start Time) {
 	s.WaitCycles += start - now
 	s.BusyCycles += occ
 	s.busyUntil = start + occ
+	if s.Requests == 0 {
+		s.first = now
+	}
 	s.Requests++
 	if s.ringCap > 0 {
 		s.trackArrival(now, start+occ)
@@ -137,6 +143,50 @@ func (s *Server) Wait(now Time) Time {
 func (s *Server) Reset() {
 	ends, ringCap := s.ends, s.ringCap
 	*s = Server{ends: ends, ringCap: ringCap}
+}
+
+// FirstArrival reports the arrival time of the first transaction since
+// the last Reset or Seed, and whether there was one. Together with
+// Residual it tells whether a run that started from an idle server
+// would have gone differently from one that inherited a reservation:
+// only if the inherited busy-until lies past this first arrival.
+func (s *Server) FirstArrival() (Time, bool) { return s.first, s.Requests > 0 }
+
+// Residual reports the reservation the server still holds past time t:
+// its busy-until time, and the service ends of tracked transactions
+// still in the system after t, oldest first, appended to ends. busy <= t
+// means the server is idle from t on and nothing was appended.
+func (s *Server) Residual(t Time, ends []Time) (busy Time, _ []Time) {
+	if s.busyUntil <= t {
+		return s.busyUntil, ends
+	}
+	for i := 0; i < s.n; i++ {
+		idx := s.head + i
+		if idx >= len(s.ends) {
+			idx -= len(s.ends)
+		}
+		if s.ends[idx] > t {
+			ends = append(ends, s.ends[idx])
+		}
+	}
+	return s.busyUntil, ends
+}
+
+// Seed resets the server, as Reset does, and installs a reservation
+// carried over from earlier work on the same resource: busy-until time
+// busy and the service ends of the tracked transactions still in the
+// system, oldest first (as Residual reports them). Later arrivals queue
+// behind it exactly as they would have behind the original transactions.
+func (s *Server) Seed(busy Time, ends []Time) {
+	s.Reset()
+	s.busyUntil = busy
+	if s.ringCap == 0 || len(ends) == 0 {
+		return
+	}
+	if s.ends == nil {
+		s.ends = make([]Time, s.ringCap)
+	}
+	s.n = copy(s.ends, ends)
 }
 
 // BusyUntilTime exposes the current end of the busy period (for tests).

@@ -112,3 +112,60 @@ func TestServerTrackDepthPanicsOnBadCapacity(t *testing.T) {
 	var s Server
 	s.TrackDepth(0)
 }
+
+// TestServerSeedContinuesResidual: splitting a server's arrival stream
+// at time t and seeding a reset server with the first half's residual
+// reproduces the second half exactly — start times, stall and wait
+// counts, and queue depths.
+func TestServerSeedContinuesResidual(t *testing.T) {
+	type arr struct{ now, occ Time }
+	before := []arr{{0, 10}, {2, 10}, {3, 10}, {25, 10}, {26, 30}}
+	after := []arr{{40, 5}, {41, 5}, {90, 5}, {91, 5}}
+	const split = 35
+
+	var whole Server
+	whole.TrackDepth(4)
+	for _, a := range before {
+		whole.Acquire(a.now, a.occ)
+	}
+	var firsts []Time
+	w0 := whole
+	for _, a := range after {
+		firsts = append(firsts, whole.Acquire(a.now, a.occ))
+	}
+
+	var head Server
+	head.TrackDepth(4)
+	for _, a := range before {
+		head.Acquire(a.now, a.occ)
+	}
+	busy, ends := head.Residual(split, nil)
+	if busy <= split || len(ends) == 0 {
+		t.Fatalf("residual at %d: busy %d ends %v, want a reservation past the split", split, busy, ends)
+	}
+	var tail Server
+	tail.TrackDepth(4)
+	tail.Seed(busy, ends)
+	for i, a := range after {
+		if got := tail.Acquire(a.now, a.occ); got != firsts[i] {
+			t.Fatalf("arrival %d starts at %d seeded, %d chained", i, got, firsts[i])
+		}
+	}
+	if tail.Stalls != whole.Stalls-w0.Stalls || tail.WaitCycles != whole.WaitCycles-w0.WaitCycles ||
+		tail.Requests != uint64(len(after)) {
+		t.Fatalf("seeded stats %+v differ from the chained tail", tail)
+	}
+	// The arrival at 41 finds the carried transaction ending at 70 and
+	// the one from 40 still in the system.
+	if tail.MaxDepth != 3 {
+		t.Fatalf("seeded MaxDepth %d, want 3", tail.MaxDepth)
+	}
+	if f, ok := tail.FirstArrival(); !ok || f != 40 {
+		t.Fatalf("FirstArrival = %d, %v; want 40, true", f, ok)
+	}
+
+	// A residual that ends before the split carries nothing.
+	if b, e := head.Residual(1000, nil); b > 1000 || len(e) != 0 {
+		t.Fatalf("late residual %d %v, want none", b, e)
+	}
+}
