@@ -7,7 +7,10 @@
 // Each benchmark line becomes an object with its name (GOMAXPROCS suffix
 // stripped), iterations, ns/op, and any further reported metrics
 // (B/op, allocs/op, custom ReportMetric units). Context lines (goos,
-// goarch, pkg, cpu) are captured into the snapshot header.
+// goarch, pkg, cpu) are captured into the snapshot header, together with
+// the run's GOMAXPROCS (the benchmark names' suffix, absent at 1) and the
+// host's nproc (benchjson reads the run through a pipe on the same host),
+// since the same code measures differently on hosts of other widths.
 //
 // With -baseline, the parsed run is instead compared against a committed
 // snapshot and the command exits 1 on regression:
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -106,14 +110,17 @@ func main() {
 }
 
 func parse(sc *bufio.Scanner) (*Snapshot, error) {
-	snap := &Snapshot{Context: map[string]string{}}
+	snap := &Snapshot{Context: map[string]string{"nproc": strconv.Itoa(runtime.NumCPU())}}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "Benchmark"):
-			b, err := parseBench(line)
+			b, procs, err := parseBench(line)
 			if err != nil {
 				return nil, err
+			}
+			if len(snap.Benchmarks) == 0 {
+				snap.Context["GOMAXPROCS"] = strconv.Itoa(procs)
 			}
 			snap.Benchmarks = append(snap.Benchmarks, b)
 		case strings.HasPrefix(line, "goos:"),
@@ -127,30 +134,32 @@ func parse(sc *bufio.Scanner) (*Snapshot, error) {
 	return snap, sc.Err()
 }
 
-// parseBench parses one result line:
+// parseBench parses one result line and returns the GOMAXPROCS it ran
+// at (the name's suffix; go test omits it at 1):
 //
 //	BenchmarkName-8   1234   987.6 ns/op   48 B/op   2 allocs/op
-func parseBench(line string) (Benchmark, error) {
+func parseBench(line string) (Benchmark, int, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Benchmark{}, fmt.Errorf("short benchmark line %q", line)
+		return Benchmark{}, 0, fmt.Errorf("short benchmark line %q", line)
 	}
 	name := fields[0]
+	procs := 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the GOMAXPROCS suffix
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n // strip the GOMAXPROCS suffix
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("bad iteration count in %q: %v", line, err)
+		return Benchmark{}, 0, fmt.Errorf("bad iteration count in %q: %v", line, err)
 	}
 	b := Benchmark{Name: name, Iters: iters, Metrics: map[string]float64{}}
 	// The rest alternates value, unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, fmt.Errorf("bad metric value in %q: %v", line, err)
+			return Benchmark{}, 0, fmt.Errorf("bad metric value in %q: %v", line, err)
 		}
 		if fields[i+1] == "ns/op" {
 			b.NsPerOp = v
@@ -161,5 +170,5 @@ func parseBench(line string) (Benchmark, error) {
 	if len(b.Metrics) == 0 {
 		b.Metrics = nil
 	}
-	return b, nil
+	return b, procs, nil
 }

@@ -207,6 +207,9 @@ func NewSlabs(width int) *Slabs {
 // Width returns the slab width in words.
 func (s *Slabs) Width() int { return s.width }
 
+// Bytes returns the capacity the allocator retains, in bytes.
+func (s *Slabs) Bytes() int { return 8 * cap(s.buf) }
+
 // Live returns the number of slabs allocated since the last Reset.
 func (s *Slabs) Live() int { return s.next }
 

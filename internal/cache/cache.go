@@ -11,9 +11,9 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"specrt/internal/abits"
+	"specrt/internal/freelist"
 	"specrt/internal/mem"
 )
 
@@ -52,14 +52,48 @@ func (c Config) Validate() error {
 	if c.SizeBytes%c.LineBytes != 0 {
 		return fmt.Errorf("cache: size %d not a multiple of line %d", c.SizeBytes, c.LineBytes)
 	}
-	if c.LineBytes%abits.WordBytes != 0 {
-		return fmt.Errorf("cache: line %d not a multiple of word size", c.LineBytes)
+	if c.LineBytes < 8 {
+		// A packed Frame keeps its state and flags in the tag's three
+		// low bits, which only line-aligned tags of 8 or more bytes free.
+		return fmt.Errorf("cache: line %d below the 8-byte minimum", c.LineBytes)
+	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		// LineAddr aligns by masking, which needs a power of two.
+		return fmt.Errorf("cache: line %d not a power of two", c.LineBytes)
 	}
 	return nil
 }
 
-// Line is one cache frame. Tag is the line-aligned base address of the
-// resident line (meaningful only when State != Invalid).
+// Frame is one stored cache frame packed into a word: the line-aligned
+// tag in the high bits, the coherence state in bits 0–1 and, in bit 2,
+// whether the line carries access bits. The bits themselves live in the
+// cache's slab, in the window of the frame's set (Cache.Bits). Packing
+// needs the three low tag bits free, hence Config's 8-byte line minimum.
+// A Frame holds no pointer, so frame arrays stay out of the collector's
+// scan.
+type Frame struct{ w uint64 }
+
+const (
+	stateMask = 3
+	hasBits   = 4
+	flagBits  = 7
+)
+
+// Tag returns the line-aligned base address of the resident line
+// (meaningful only when State() != Invalid).
+func (f Frame) Tag() mem.Addr { return mem.Addr(f.w &^ flagBits) }
+
+// State returns the frame's coherence state.
+func (f Frame) State() State { return State(f.w & stateMask) }
+
+// SetState changes the frame's coherence state, keeping tag and bits.
+func (f *Frame) SetState(s State) { f.w = f.w&^stateMask | uint64(s) }
+
+// Line is a by-value view of a frame: an evicted victim, the prior
+// contents Invalidate and Downgrade return, and the lines FlushAll and
+// ForEach visit. Bits aliases the slab window of the frame's set (or
+// the cache's scratch window for a victim) and is nil when the line
+// carried no access bits.
 type Line struct {
 	Tag   mem.Addr
 	State State
@@ -78,27 +112,27 @@ type Stats struct {
 // Cache is a direct-mapped cache. Access-bit words for all frames live
 // in one preallocated slab (one window of wpl words per frame, plus a
 // trailing scratch window that carries an evicted victim's bits while
-// its frame is being overwritten); slabs are recycled across machines
-// via a pool, so steady-state simulation does no per-line allocation.
+// its frame is being overwritten); frames and slab are recycled across
+// machines through a free list, so steady-state simulation does no
+// per-line allocation.
 type Cache struct {
 	cfg     Config
 	sets    int
-	lines   []Line
+	frames  []Frame
 	wpl     int // access-bit words per line
 	slab    []abits.Word
 	scratch []abits.Word // last window of the slab
 	Stats   Stats
 
-	// slabBox and frames are the pool boxes the slab and the frame array
-	// came in; Release puts the same boxes back, so it allocates nothing.
-	slabBox *[]abits.Word
-	frames  *frameSet
+	// st is the free-list box frames, used and slab came in; Release
+	// puts the same box back, so it allocates nothing.
+	st *storage
 
-	// pow2/lineShift/setMask strength-reduce the set-index computation
-	// when both the line size and the set count are powers of two (the
-	// §5.1 geometries always are): the generic divide-and-modulo by
-	// non-constant divisors showed up as one of the hottest instructions
-	// in the whole simulator, on every Lookup.
+	// lineShift/pow2/setMask strength-reduce the set-index computation
+	// (lines are always a power of two; pow2 marks a power-of-two set
+	// count, which the §5.1 geometries always have): the generic
+	// divide-and-modulo by non-constant divisors showed up as one of the
+	// hottest instructions in the whole simulator, on every Lookup.
 	pow2      bool
 	lineShift uint64
 	setMask   uint64
@@ -113,54 +147,36 @@ type Cache struct {
 	used []uint64
 }
 
-// frameSet is the pooled frame array of a cache together with its
-// occupancy bitmap.
-type frameSet struct {
-	lines []Line
-	used  []uint64
+// storage is a cache's recyclable state: the frame array, its occupancy
+// bitmap and the access-bit slab.
+type storage struct {
+	frames []Frame
+	used   []uint64
+	slab   []abits.Word
 }
 
-// slabPool recycles access-bit slabs between cache instances, keyed by
-// slab length (pointer-boxed so Put does not allocate). linePool does
-// the same for the frame arrays, keyed by set count. A mutex-guarded
-// plain map is used rather than sync.Map so the int key is not boxed on
-// every lookup.
-var (
-	poolMu   sync.Mutex
-	slabPool = map[int]*sync.Pool{}
-	linePool = map[int]*sync.Pool{}
-)
+// bytes is the storage's size; an access-bit Word is one byte.
+func (st *storage) bytes() int { return 8*len(st.frames) + 8*len(st.used) + len(st.slab) }
 
-func poolFor(m map[int]*sync.Pool, size int) *sync.Pool {
-	poolMu.Lock()
-	p := m[size]
-	if p == nil {
-		p = &sync.Pool{}
-		m[size] = p
-	}
-	poolMu.Unlock()
-	return p
-}
+// geometry keys the storage free lists.
+type geometry struct{ sets, wpl int }
 
-func getSlab(size int) *[]abits.Word {
-	if v := poolFor(slabPool, size).Get(); v != nil {
-		return v.(*[]abits.Word)
-	}
-	slab := make([]abits.Word, size)
-	return &slab
-}
+var storagePool freelist.Keyed[geometry, *storage]
 
-// getFrames returns an all-Invalid frame array with an empty occupancy
-// bitmap. Pooled arrays are already zeroed: Release clears exactly the
-// frames the bitmap covers, which is every frame that has held a line
-// since the last FlushAll (frames invalidated individually are zeroed at
-// that point), so a full clear — 320 KB per L2 per execution — is not
-// needed here.
-func getFrames(sets int) *frameSet {
-	if v := poolFor(linePool, sets).Get(); v != nil {
-		return v.(*frameSet)
+// getStorage returns storage with all-Invalid frames and an empty
+// occupancy bitmap. Recycled storage is already in that state: Release
+// clears exactly the frames the bitmap covers, which is every frame that
+// has held a line since the last FlushAll (frames invalidated
+// individually are zeroed at that point), so a full clear is not needed.
+func getStorage(sets, wpl int) *storage {
+	if st, ok := storagePool.For(geometry{sets, wpl}).Get(); ok {
+		return st
 	}
-	return &frameSet{lines: make([]Line, sets), used: make([]uint64, (sets+63)/64)}
+	return &storage{
+		frames: make([]Frame, sets),
+		used:   make([]uint64, (sets+63)/64),
+		slab:   make([]abits.Word, (sets+1)*wpl),
+	}
 }
 
 // New builds a cache; it panics on invalid configuration (a programming
@@ -171,49 +187,46 @@ func New(cfg Config) *Cache {
 	}
 	sets := cfg.SizeBytes / cfg.LineBytes
 	wpl := abits.WordsPerLine(cfg.LineBytes)
-	slabBox := getSlab((sets + 1) * wpl)
-	slab := *slabBox
-	frames := getFrames(sets)
+	st := getStorage(sets, wpl)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    sets,
-		lines:   frames.lines,
-		used:    frames.used,
+		frames:  st.frames,
+		used:    st.used,
 		wpl:     wpl,
-		slab:    slab,
-		scratch: slab[sets*wpl : (sets+1)*wpl : (sets+1)*wpl],
-		slabBox: slabBox,
-		frames:  frames,
+		slab:    st.slab,
+		scratch: st.slab[sets*wpl : (sets+1)*wpl : (sets+1)*wpl],
+		st:      st,
+		// Validate guarantees a power-of-two line.
+		lineShift: uint64(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
-	if cfg.LineBytes&(cfg.LineBytes-1) == 0 && sets&(sets-1) == 0 {
+	if sets&(sets-1) == 0 {
 		c.pow2 = true
-		c.lineShift = uint64(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 		c.setMask = uint64(sets - 1)
 	}
 	return c
 }
 
-// window returns frame i's slice of the slab, capped so appends cannot
-// spill into the neighbouring frame's words.
+// window returns set i's slice of the slab, capped so appends cannot
+// spill into the neighbouring set's words.
 func (c *Cache) window(i int) []abits.Word {
 	return c.slab[i*c.wpl : (i+1)*c.wpl : (i+1)*c.wpl]
 }
 
-// Release returns the cache's slab and frame array to their pools. The
+// Release returns the cache's frames and slab to the free list. The
 // cache must not be used afterwards; call it once the owning machine is
 // done simulating.
 func (c *Cache) Release() {
-	if c.slab == nil {
+	if c.st == nil {
 		return
 	}
-	// Restore the pooled-array invariant (see getFrames): zero every
+	// Restore the recycled-storage invariant (see getStorage): zero every
 	// frame touched since the last FlushAll; the rest are already zero.
-	c.eachUsed(func(fr *Line) { *fr = Line{} })
+	c.eachUsed(func(_ int, fr *Frame) { *fr = Frame{} })
 	clear(c.used)
-	poolFor(linePool, c.sets).Put(c.frames)
-	poolFor(slabPool, len(c.slab)).Put(c.slabBox)
-	c.lines, c.used, c.frames = nil, nil, nil
-	c.slab, c.scratch, c.slabBox = nil, nil, nil
+	storagePool.For(geometry{c.sets, c.wpl}).Put(c.st, c.st.bytes())
+	c.frames, c.used, c.st = nil, nil, nil
+	c.slab, c.scratch = nil, nil
 }
 
 // Config returns the cache geometry.
@@ -233,15 +246,15 @@ func (c *Cache) set(line mem.Addr) int {
 	if c.pow2 {
 		return int(uint64(line) >> c.lineShift & c.setMask)
 	}
-	return int(uint64(line) / uint64(c.cfg.LineBytes) % uint64(c.sets))
+	return int(uint64(line) >> c.lineShift % uint64(c.sets))
 }
 
 // Lookup returns the frame holding the line containing a, or nil on miss.
 // It does not update statistics; callers record hit/miss once per access.
-func (c *Cache) Lookup(a mem.Addr) *Line {
+func (c *Cache) Lookup(a mem.Addr) *Frame {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
-	if fr.State != Invalid && fr.Tag == line {
+	fr := &c.frames[c.set(line)]
+	if fr.w&stateMask != 0 && fr.Tag() == line {
 		return fr
 	}
 	return nil
@@ -252,16 +265,16 @@ func (c *Cache) Lookup(a mem.Addr) *Line {
 // performing probe: the execution fast path asks what Install would
 // displace before deciding whether an access is locally deterministic,
 // without touching statistics or state.
-func (c *Cache) SetOccupant(a mem.Addr) *Line {
-	fr := &c.lines[c.set(c.LineAddr(a))]
-	if fr.State == Invalid {
+func (c *Cache) SetOccupant(a mem.Addr) *Frame {
+	fr := &c.frames[c.set(c.LineAddr(a))]
+	if fr.State() == Invalid {
 		return nil
 	}
 	return fr
 }
 
 // Probe is Lookup plus hit/miss accounting.
-func (c *Cache) Probe(a mem.Addr) *Line {
+func (c *Cache) Probe(a mem.Addr) *Frame {
 	fr := c.Lookup(a)
 	if fr != nil {
 		c.Stats.Hits++
@@ -271,18 +284,36 @@ func (c *Cache) Probe(a mem.Addr) *Line {
 	return fr
 }
 
+// view returns the by-value Line of frame f stored in set.
+func (c *Cache) view(set int, f Frame) Line {
+	l := Line{Tag: f.Tag(), State: f.State()}
+	if f.w&hasBits != 0 {
+		l.Bits = c.window(set)
+	}
+	return l
+}
+
+// Bits returns the access-bit window of a resident frame of this cache,
+// or nil when its line was installed without bits.
+func (c *Cache) Bits(fr *Frame) []abits.Word {
+	if fr.w&hasBits == 0 {
+		return nil
+	}
+	return c.window(c.set(fr.Tag()))
+}
+
 // Install places the line containing a into its frame with the given state
 // and access bits (bits may be nil for a plain line; a zeroed bit array is
-// allocated lazily when first needed). If a different line occupied the
+// claimed lazily when first needed). If a different line occupied the
 // frame it is returned as the victim.
 func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, evicted bool) {
 	line := c.LineAddr(a)
 	set := c.set(line)
-	fr := &c.lines[set]
-	if fr.State != Invalid && fr.Tag != line {
-		victim, evicted = *fr, true
+	fr := &c.frames[set]
+	if fr.State() != Invalid && fr.Tag() != line {
+		victim, evicted = c.view(set, *fr), true
 		if victim.Bits != nil {
-			// The victim's Bits alias this frame's slab window, which the
+			// The victim's Bits alias this set's slab window, which the
 			// new line is about to overwrite; move them to the scratch
 			// window. The caller consumes the victim (writeback) before
 			// the next Install into this cache, so one scratch suffices.
@@ -294,58 +325,52 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 			c.Stats.Writebacks++
 		}
 	}
-	if fr.State == Invalid {
+	if fr.State() == Invalid {
 		c.used[set>>6] |= 1 << (set & 63)
 	}
-	fr.Tag = line
-	fr.State = st
+	fr.w = uint64(line) | uint64(st)
 	if bits != nil {
 		if len(bits) != c.wpl {
 			panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
 		}
-		w := c.window(set)
-		copy(w, bits)
-		fr.Bits = w
-	} else {
-		fr.Bits = nil
+		copy(c.window(set), bits)
+		fr.w |= hasBits
 	}
 	return victim, evicted
 }
 
 // EnsureBits returns the line's access-bit window, zeroing it if the
 // line was installed without bits.
-func (c *Cache) EnsureBits(fr *Line) []abits.Word {
-	if fr.Bits == nil {
-		w := c.window(c.set(fr.Tag))
+func (c *Cache) EnsureBits(fr *Frame) []abits.Word {
+	w := c.window(c.set(fr.Tag()))
+	if fr.w&hasBits == 0 {
 		clear(w)
-		fr.Bits = w
+		fr.w |= hasBits
 	}
-	return fr.Bits
+	return w
 }
 
 // SetBits overwrites the line's access bits with a copy of bits,
-// claiming the frame's slab window if the line had none. It replaces
-// the fresh-slice append idiom the map era needed.
-func (c *Cache) SetBits(fr *Line, bits []abits.Word) {
+// claiming the set's slab window if the line had none.
+func (c *Cache) SetBits(fr *Frame, bits []abits.Word) {
 	if len(bits) != c.wpl {
 		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
 	}
-	if fr.Bits == nil {
-		fr.Bits = c.window(c.set(fr.Tag))
-	}
-	copy(fr.Bits, bits)
+	copy(c.window(c.set(fr.Tag())), bits)
+	fr.w |= hasBits
 }
 
 // Invalidate removes the line containing a if present, returning its prior
 // contents (needed for writebacks carrying access bits).
 func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
-	if fr.State == Invalid || fr.Tag != line {
+	set := c.set(line)
+	fr := &c.frames[set]
+	if fr.State() == Invalid || fr.Tag() != line {
 		return Line{}, false
 	}
-	old = *fr
-	*fr = Line{}
+	old = c.view(set, *fr)
+	*fr = Frame{}
 	return old, true
 }
 
@@ -353,12 +378,13 @@ func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 // prior contents so the caller can write data and bits back to memory.
 func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
-	if fr.State == Invalid || fr.Tag != line {
+	set := c.set(line)
+	fr := &c.frames[set]
+	if fr.State() == Invalid || fr.Tag() != line {
 		return Line{}, false
 	}
-	old = *fr
-	fr.State = Clean
+	old = c.view(set, *fr)
+	fr.SetState(Clean)
 	return old, true
 }
 
@@ -366,10 +392,11 @@ func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 // bitmap, in ascending set order, so sparse walks observe frames in the
 // same order a full scan would. Marked frames may have been invalidated
 // since; callers check State.
-func (c *Cache) eachUsed(fn func(fr *Line)) {
+func (c *Cache) eachUsed(fn func(set int, fr *Frame)) {
 	for w, word := range c.used {
 		for word != 0 {
-			fn(&c.lines[w<<6|bits.TrailingZeros64(word)])
+			set := w<<6 | bits.TrailingZeros64(word)
+			fn(set, &c.frames[set])
 			word &= word - 1
 		}
 	}
@@ -380,11 +407,11 @@ func (c *Cache) eachUsed(fn func(fr *Line)) {
 // flush the caches after every execution").
 func (c *Cache) FlushAll(cb func(Line)) {
 	c.Stats.Flushes++
-	c.eachUsed(func(fr *Line) {
-		if fr.State == Dirty && cb != nil {
-			cb(*fr)
+	c.eachUsed(func(set int, fr *Frame) {
+		if fr.State() == Dirty && cb != nil {
+			cb(c.view(set, *fr))
 		}
-		*fr = Line{}
+		*fr = Frame{}
 	})
 	clear(c.used)
 }
@@ -394,15 +421,16 @@ func (c *Cache) FlushAll(cb func(Line)) {
 // of lines holding privatized data, or a general reset with keep == nil).
 // mutate receives each word and returns its cleared value.
 func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word) abits.Word) {
-	c.eachUsed(func(fr *Line) {
-		if fr.State == Invalid || fr.Bits == nil {
+	c.eachUsed(func(set int, fr *Frame) {
+		if fr.State() == Invalid || fr.w&hasBits == 0 {
 			return
 		}
-		if keep != nil && !keep(fr.Tag) {
+		if keep != nil && !keep(fr.Tag()) {
 			return
 		}
-		for j := range fr.Bits {
-			fr.Bits[j] = mutate(fr.Bits[j])
+		w := c.window(set)
+		for j := range w {
+			w[j] = mutate(w[j])
 		}
 	})
 }
@@ -411,9 +439,9 @@ func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word)
 // The Line is passed by value; fn must not retain its Bits slice. Used by
 // invariant checkers to audit cache/directory agreement.
 func (c *Cache) ForEach(fn func(Line)) {
-	c.eachUsed(func(fr *Line) {
-		if fr.State != Invalid {
-			fn(*fr)
+	c.eachUsed(func(set int, fr *Frame) {
+		if fr.State() != Invalid {
+			fn(c.view(set, *fr))
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"specrt/internal/abits"
 	"specrt/internal/mem"
@@ -17,6 +19,10 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 64, LineBytes: 0},
 		{SizeBytes: 100, LineBytes: 64},
 		{SizeBytes: 128, LineBytes: 6},
+		// A packed Frame needs the three low bits of a line-aligned tag.
+		{SizeBytes: 64, LineBytes: 4},
+		{SizeBytes: 1152, LineBytes: 12},
+		{SizeBytes: 2304, LineBytes: 24},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -25,6 +31,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{SizeBytes: 32768, LineBytes: 64}).Validate(); err != nil {
 		t.Fatalf("paper L1 config invalid: %v", err)
+	}
+	if err := (Config{SizeBytes: 64, LineBytes: 8}).Validate(); err != nil {
+		t.Fatalf("8-byte line rejected: %v", err)
 	}
 }
 
@@ -48,7 +57,7 @@ func TestMissThenHit(t *testing.T) {
 	}
 	c.Install(0x1000, Clean, nil)
 	fr := c.Probe(0x1010) // same line
-	if fr == nil || fr.State != Clean {
+	if fr == nil || fr.State() != Clean {
 		t.Fatal("expected hit on installed line")
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
@@ -81,12 +90,12 @@ func TestBitsTravelWithInstall(t *testing.T) {
 	if fr == nil {
 		t.Fatal("line not resident")
 	}
-	if got := fr.Bits[3]; got.First() != abits.FirstOwn || !got.NoShr() {
+	if got := c.Bits(fr)[3]; got.First() != abits.FirstOwn || !got.NoShr() {
 		t.Fatalf("bits lost: %v", got)
 	}
 	// Install copies: mutating the source must not alias.
 	bits[3] = 0
-	if fr.Bits[3] == 0 {
+	if c.Bits(fr)[3] == 0 {
 		t.Fatal("Install aliased caller's bit slice")
 	}
 }
@@ -110,7 +119,7 @@ func TestEnsureBits(t *testing.T) {
 		t.Fatalf("EnsureBits len = %d", len(b))
 	}
 	b[0] = b[0].WithROnly(true)
-	if !c.Lookup(0x1000).Bits[0].ROnly() {
+	if !c.Bits(c.Lookup(0x1000))[0].ROnly() {
 		t.Fatal("EnsureBits did not attach to the line")
 	}
 }
@@ -137,7 +146,7 @@ func TestDowngrade(t *testing.T) {
 	if !ok || old.State != Dirty {
 		t.Fatalf("Downgrade = %+v %v", old, ok)
 	}
-	if fr := c.Lookup(0x3000); fr == nil || fr.State != Clean {
+	if fr := c.Lookup(0x3000); fr == nil || fr.State() != Clean {
 		t.Fatal("line not Clean after downgrade")
 	}
 	if _, ok := c.Downgrade(0x9999000); ok {
@@ -173,18 +182,18 @@ func TestClearBitsSelective(t *testing.T) {
 	// Clear iteration bits only for lines above 0x40.
 	c.ClearBits(func(line mem.Addr) bool { return line >= 0x40 },
 		abits.Word.ClearIteration)
-	if w := c.Lookup(0x0000).Bits[0]; !w.Read1st() {
+	if w := c.Bits(c.Lookup(0x0000))[0]; !w.Read1st() {
 		t.Fatal("line outside predicate was cleared")
 	}
-	if w := c.Lookup(0x0040).Bits[0]; w.Read1st() || w.Write() {
+	if w := c.Bits(c.Lookup(0x0040))[0]; w.Read1st() || w.Write() {
 		t.Fatal("line inside predicate was not cleared")
 	}
-	if w := c.Lookup(0x0040).Bits[0]; !w.NoShr() {
+	if w := c.Bits(c.Lookup(0x0040))[0]; !w.NoShr() {
 		t.Fatal("ClearIteration cleared non-iteration bits")
 	}
 	// nil keep clears everything.
 	c.ClearBits(nil, func(abits.Word) abits.Word { return 0 })
-	if w := c.Lookup(0x0000).Bits[5]; w != 0 {
+	if w := c.Bits(c.Lookup(0x0000))[5]; w != 0 {
 		t.Fatal("general reset missed a line")
 	}
 }
@@ -207,7 +216,7 @@ func TestPropertyInstallLookup(t *testing.T) {
 			a := mem.Addr(raw)
 			c.Install(a, Clean, nil)
 			fr := c.Lookup(a)
-			if fr == nil || fr.Tag != c.LineAddr(a) {
+			if fr == nil || fr.Tag() != c.LineAddr(a) {
 				return false
 			}
 		}
@@ -288,5 +297,40 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Release allocated %v times per call", allocs)
+	}
+}
+
+// TestFrameLayout pins the packed frame: one 8-byte word with no
+// pointer, so a 1024-processor machine's frame arrays are a fifth of the
+// size of 40-byte slice-carrying frames and stay out of the collector's
+// scan.
+func TestFrameLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 8 {
+		t.Fatalf("Frame is %d bytes, want 8", got)
+	}
+	typ := reflect.TypeOf(Frame{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() > reflect.Complex128 { // not a bool or number
+			t.Errorf("Frame field %s is a %v, which may hold a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestFrameKeepsTagStateAndBits checks that packing neither leaks the
+// state and bits flag into the tag nor loses them across state changes.
+func TestFrameKeepsTagStateAndBits(t *testing.T) {
+	c := New(Config{SizeBytes: 64, LineBytes: 8}) // smallest legal line
+	c.Install(0x1238, Dirty, make([]abits.Word, 2))
+	fr := c.Lookup(0x123c)
+	if fr == nil || fr.Tag() != 0x1238 || fr.State() != Dirty || c.Bits(fr) == nil {
+		t.Fatalf("frame = %+v", fr)
+	}
+	fr.SetState(Clean)
+	if fr.Tag() != 0x1238 || fr.State() != Clean || c.Bits(fr) == nil {
+		t.Fatalf("SetState disturbed the frame: tag %#x state %v", fr.Tag(), fr.State())
+	}
+	c.Install(0x1278, Clean, nil) // same set: evicts, and leaves no bits
+	if fr := c.Lookup(0x1278); fr == nil || c.Bits(fr) != nil {
+		t.Fatal("a line installed without bits reports bits")
 	}
 }

@@ -78,20 +78,19 @@ func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
 // when the line has no bit window yet, matching what EnsureBits would
 // hand the perform step). An L2-only hit qualifies only when the perform
 // step's L1 promotion is purely local.
-func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Line, abits.Word) {
+func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Frame, abits.Word) {
 	pr := c.M.Procs[p]
-	fr := pr.L1.Lookup(a)
+	ca := pr.L1
+	fr := ca.Lookup(a)
 	if fr == nil {
-		if fr = pr.L2.Lookup(a); fr != nil && !c.M.PromoteIsLocal(p, a) {
-			fr = nil
+		ca = pr.L2
+		if fr = ca.Lookup(a); fr == nil || !c.M.PromoteIsLocal(p, a) {
+			return nil, 0
 		}
 	}
-	if fr == nil {
-		return nil, 0
-	}
 	var w abits.Word
-	if fr.Bits != nil {
-		w = fr.Bits[wi]
+	if bits := ca.Bits(fr); bits != nil {
+		w = bits[wi]
 	}
 	return fr, w
 }
@@ -113,7 +112,7 @@ func (c *Controller) npClassifyRead(arr *Array, p int, a mem.Addr) bool {
 		return false // FAIL arm
 	case w.First() == abits.FirstNone,
 		w.First() == abits.FirstOther && !w.ROnly():
-		if fr.State != cache.Dirty {
+		if fr.State() != cache.Dirty {
 			return false // clean-line tag change: update message to the home
 		}
 	}
@@ -127,7 +126,7 @@ func (c *Controller) npClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 	fr, w := c.lookupBits(p, a, wi)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		return false // miss, or a clean-line upgrade at the home
 	}
 	if w.First() == abits.FirstOther || w.ROnly() {
@@ -161,7 +160,7 @@ func (c *Controller) pvClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 	fr, w := c.lookupBits(p, pa, wi)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		return false // miss, or a clean private-line upgrade
 	}
 	if !w.Write() && arr.pMaxW.Get(arr.pIdx(p, e)) == 0 && !arr.pvWroteEver(p, e) {

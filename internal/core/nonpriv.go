@@ -32,14 +32,14 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 		switch {
 		case w.First() == abits.FirstNone:
 			bits[wi] = w.WithFirst(abits.FirstOwn)
-			if fr.State != cache.Dirty {
-				c.M.SyncBitsToL2(p, fr.Tag, bits)
+			if fr.State() != cache.Dirty {
+				c.M.SyncBitsToL2(p, fr.Tag(), bits)
 				c.sendFirstUpdate(arr, p, e)
 			}
 		case w.First() == abits.FirstOther && !w.ROnly():
 			bits[wi] = w.WithROnly(true)
-			if fr.State != cache.Dirty {
-				c.M.SyncBitsToL2(p, fr.Tag, bits)
+			if fr.State() != cache.Dirty {
+				c.M.SyncBitsToL2(p, fr.Tag(), bits)
 				c.sendROnlyUpdate(arr, p, e)
 			}
 		}
@@ -84,7 +84,7 @@ func (c *Controller) npWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 		if w.First() == abits.FirstOther || w.ROnly() {
 			return procLat, c.fail(FailWriteOfShared, arr, e, p, c.curIter[p])
 		}
-		if fr.State == cache.Clean {
+		if fr.State() == cache.Clean {
 			// Upgrade: the write request is serviced at the home
 			// (Figure 6-(d)); its reply carries fresh tag state.
 			lat, err := c.M.FetchWrite(p, a, c.npHomeWrite(arr, p, e, a))
@@ -235,22 +235,23 @@ func (c *Controller) sendFirstUpdateFail(arr *Array, p, e int) {
 		}
 		line := c.M.LineAddr(addr)
 		wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
-		fr := c.M.Procs[p].L1.Lookup(line)
-		if fr == nil {
-			if fr2 := c.M.Procs[p].L2.Lookup(line); fr2 != nil {
-				fr = fr2
-			}
+		pr := c.M.Procs[p]
+		var bits []abits.Word
+		if fr := pr.L1.Lookup(line); fr != nil {
+			bits = pr.L1.Bits(fr)
+		} else if fr := pr.L2.Lookup(line); fr != nil {
+			bits = pr.L2.Bits(fr)
 		}
-		if fr == nil || fr.Bits == nil {
+		if bits == nil {
 			return nil // line displaced; the directory is authoritative
 		}
-		w := fr.Bits[wi]
+		w := bits[wi]
 		if w.First() == abits.FirstOwn && w.NoShr() {
 			// This processor read and then wrote the element before
 			// learning it was not First.
 			return c.fail(FailTwoFirstUpdates, arr, e, p, c.curIter[p])
 		}
-		fr.Bits[wi] = w.WithFirst(abits.FirstOther).WithROnly(true)
+		bits[wi] = w.WithFirst(abits.FirstOther).WithROnly(true)
 		return nil
 	})
 }

@@ -34,8 +34,8 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 			// the private directory (Figure 8-(b)), which forwards a
 			// read-first signal to the shared directory (8-(d)).
 			bits[wi] = w.WithRead1st(true)
-			if fr.State != cache.Dirty {
-				c.M.SyncBitsToL2(p, fr.Tag, bits)
+			if fr.State() != cache.Dirty {
+				c.M.SyncBitsToL2(p, fr.Tag(), bits)
 			}
 			arr.pMaxR1st.Set(arr.pIdx(p, e), iter)
 			c.sendReadFirst(arr, p, e, iter)
@@ -98,7 +98,7 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	procLat := c.M.Cfg.Lat.L1Hit
 
 	if fr, _, hit := c.M.Probe(p, pa); hit {
-		if fr.State == cache.Clean {
+		if fr.State() == cache.Clean {
 			// Plain upgrade of the private line; the private copy has
 			// no other sharers, so this cannot fail.
 			lat, err := c.M.FetchWrite(p, pa, nil)

@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"specrt/internal/core"
@@ -65,23 +66,60 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Instr is one processor instruction. A flat struct (not an interface)
-// keeps instruction streams allocation-free.
+// Instr is one processor instruction, 16 bytes with no pointer, so
+// instruction buffers stay small and out of the collector's scan. ID is
+// the lock or barrier ID, or the iteration number of KBeginIter; arg
+// holds the operand of KCompute (Cycles) or of KLoad/KStore (Addr).
 type Instr struct {
-	Kind   Kind
-	Cycles sim.Time // KCompute
-	Addr   mem.Addr // KLoad, KStore
-	ID     int      // lock/barrier ID, or iteration number for KBeginIter
+	Kind Kind
+	ID   int32
+	arg  uint64
+}
+
+// Cycles returns a KCompute instruction's cycle count.
+func (in Instr) Cycles() sim.Time { return sim.Time(in.arg) }
+
+// Addr returns a KLoad or KStore instruction's address.
+func (in Instr) Addr() mem.Addr { return mem.Addr(in.arg) }
+
+// IDRangeError reports a lock, barrier or iteration ID, or an iteration
+// count whose iterations become IDs, outside the int32 range of Instr.ID.
+type IDRangeError struct {
+	What  string
+	Value int
+}
+
+func (e *IDRangeError) Error() string {
+	return fmt.Sprintf("cpu: %s %d outside the instruction ID range [%d,%d]",
+		e.What, e.Value, math.MinInt32, math.MaxInt32)
+}
+
+// CheckID returns an *IDRangeError when v does not fit Instr.ID.
+func CheckID(what string, v int) error {
+	if int(int32(v)) != v {
+		return &IDRangeError{What: what, Value: v}
+	}
+	return nil
+}
+
+// id packs v into Instr.ID. Callers admit IDs with CheckID first (run
+// validates iteration counts; its lock and barrier IDs are constants),
+// so an ID that does not fit is a bug, never silently truncated.
+func id(what string, v int) int32 {
+	if err := CheckID(what, v); err != nil {
+		panic(err)
+	}
+	return int32(v)
 }
 
 // Convenience constructors.
-func Compute(cycles sim.Time) Instr { return Instr{Kind: KCompute, Cycles: cycles} }
-func Load(a mem.Addr) Instr         { return Instr{Kind: KLoad, Addr: a} }
-func Store(a mem.Addr) Instr        { return Instr{Kind: KStore, Addr: a} }
-func LockAcq(id int) Instr          { return Instr{Kind: KLockAcq, ID: id} }
-func LockRel(id int) Instr          { return Instr{Kind: KLockRel, ID: id} }
-func Barrier(id int) Instr          { return Instr{Kind: KBarrier, ID: id} }
-func BeginIter(iter int) Instr      { return Instr{Kind: KBeginIter, ID: iter} }
+func Compute(cycles sim.Time) Instr { return Instr{Kind: KCompute, arg: uint64(cycles)} }
+func Load(a mem.Addr) Instr         { return Instr{Kind: KLoad, arg: uint64(a)} }
+func Store(a mem.Addr) Instr        { return Instr{Kind: KStore, arg: uint64(a)} }
+func LockAcq(l int) Instr           { return Instr{Kind: KLockAcq, ID: id("lock", l)} }
+func LockRel(l int) Instr           { return Instr{Kind: KLockRel, ID: id("lock", l)} }
+func Barrier(b int) Instr           { return Instr{Kind: KBarrier, ID: id("barrier", b)} }
+func BeginIter(iter int) Instr      { return Instr{Kind: KBeginIter, ID: id("iteration", iter)} }
 func Exception() Instr              { return Instr{Kind: KException} }
 
 // Breakdown is a processor's time split into the paper's categories.
@@ -469,11 +507,11 @@ func (s *System) fuseOne(p *Proc, in Instr) (sim.Time, bool) {
 	switch in.Kind {
 	case KCompute:
 		p.Instrs[KCompute]++
-		p.B.Busy += in.Cycles
-		return in.Cycles, true
+		p.B.Busy += in.Cycles()
+		return in.Cycles(), true
 
 	case KLoad:
-		lat, ok := s.tryRead(p.ID, in.Addr)
+		lat, ok := s.tryRead(p.ID, in.Addr())
 		if !ok {
 			return 0, false
 		}
@@ -482,7 +520,7 @@ func (s *System) fuseOne(p *Proc, in Instr) (sim.Time, bool) {
 		return lat, true
 
 	case KStore:
-		lat, ok := s.tryWrite(p.ID, in.Addr)
+		lat, ok := s.tryWrite(p.ID, in.Addr())
 		if !ok {
 			return 0, false
 		}
@@ -527,11 +565,11 @@ func (s *System) exec1(p *Proc, in Instr) {
 
 	switch in.Kind {
 	case KCompute:
-		p.B.Busy += in.Cycles
-		s.M.Eng.Schedule(in.Cycles, p.stepFn)
+		p.B.Busy += in.Cycles()
+		s.M.Eng.Schedule(in.Cycles(), p.stepFn)
 
 	case KLoad:
-		lat, err := s.read(p.ID, in.Addr)
+		lat, err := s.read(p.ID, in.Addr())
 		busy := lat
 		if busy > s.M.Cfg.Lat.L1Hit {
 			busy = s.M.Cfg.Lat.L1Hit
@@ -546,7 +584,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 		s.M.Eng.Schedule(lat, p.stepFn)
 
 	case KStore:
-		lat, err := s.write(p.ID, in.Addr)
+		lat, err := s.write(p.ID, in.Addr())
 		busy := lat
 		if busy > s.M.Cfg.Lat.L1Hit {
 			busy = s.M.Cfg.Lat.L1Hit
@@ -563,19 +601,19 @@ func (s *System) exec1(p *Proc, in Instr) {
 	case KBeginIter:
 		var cost sim.Time
 		if s.Ctl != nil {
-			cost = s.Ctl.BeginIteration(p.ID, in.ID)
+			cost = s.Ctl.BeginIteration(p.ID, int(in.ID))
 		}
 		p.B.Busy += cost
 		s.M.Eng.Schedule(cost, p.stepFn)
 
 	case KLockAcq:
-		s.lockAcquire(p, in.ID)
+		s.lockAcquire(p, int(in.ID))
 
 	case KLockRel:
-		s.lockRelease(p, in.ID)
+		s.lockRelease(p, int(in.ID))
 
 	case KBarrier:
-		s.barrierArrive(p, in.ID)
+		s.barrierArrive(p, int(in.ID))
 
 	case KException:
 		// The speculative execution aborts immediately; the run-time

@@ -1,8 +1,13 @@
 package cpu
 
 import (
+	"errors"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"specrt/internal/core"
 	"specrt/internal/machine"
@@ -392,5 +397,56 @@ func TestContendedLockHandoffAllocs(t *testing.T) {
 	}
 	if cap(s.locks[1].waiters) == 0 {
 		t.Fatal("the lock was never contended")
+	}
+}
+
+// TestInstrLayout pins the packed instruction: 16 bytes with no pointer,
+// so instruction buffers are half their former size and stay out of the
+// collector's scan.
+func TestInstrLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Fatalf("Instr is %d bytes, want 16", got)
+	}
+	typ := reflect.TypeOf(Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() > reflect.Complex128 { // not a bool or number
+			t.Errorf("Instr field %s is a %v, which may hold a pointer", f.Name, f.Type)
+		}
+	}
+	if in := Compute(-7); in.Cycles() != -7 {
+		t.Errorf("Compute(-7).Cycles() = %d", in.Cycles())
+	}
+	if in := Store(1 << 40); in.Addr() != 1<<40 || in.Kind != KStore {
+		t.Errorf("Store(1<<40) = %+v", in)
+	}
+}
+
+// TestIDRange checks that an ID outside int32 is rejected with an
+// *IDRangeError instead of being truncated into Instr.ID.
+func TestIDRange(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("every int fits the ID field")
+	}
+	big := math.MaxInt32
+	if CheckID("lock", big) != nil || BeginIter(big).ID != math.MaxInt32 {
+		t.Fatal("MaxInt32 rejected")
+	}
+	big++
+	var re *IDRangeError
+	if err := CheckID("iteration count", big); !errors.As(err, &re) || re.Value != big {
+		t.Fatalf("CheckID(%d) = %v", big, err)
+	}
+	for name, mk := range map[string]func(int) Instr{
+		"LockAcq": LockAcq, "LockRel": LockRel, "Barrier": Barrier, "BeginIter": BeginIter,
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.As(err, &re) {
+					t.Errorf("%s(%d) did not panic with an *IDRangeError: %v", name, big, err)
+				}
+			}()
+			mk(big)
+		}()
 	}
 }

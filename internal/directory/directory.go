@@ -22,8 +22,9 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"unsafe"
 
+	"specrt/internal/freelist"
 	"specrt/internal/mem"
 )
 
@@ -81,7 +82,7 @@ type Table struct {
 // tablePool recycles table storage across machines. Epoch tagging makes
 // reuse safe without wiping: a recycled table advances its epoch, so
 // every entry of the previous owner reads as absent.
-var tablePool sync.Pool
+var tablePool freelist.List[*Table]
 
 // NewTable creates an empty table for the given power-of-two line size,
 // sized for a machine of procs processors with the given sharer-set
@@ -91,8 +92,7 @@ func NewTable(lineBytes, procs int, mode Mode) *Table {
 		panic(fmt.Sprintf("directory: line size %d is not a power of two", lineBytes))
 	}
 	shift := uint(bits.TrailingZeros(uint(lineBytes)))
-	if v := tablePool.Get(); v != nil {
-		t := v.(*Table)
+	if t, ok := tablePool.Get(); ok {
 		t.shift = shift
 		t.store.configure(mode, procs)
 		t.Reset()
@@ -103,9 +103,15 @@ func NewTable(lineBytes, procs int, mode Mode) *Table {
 	return t
 }
 
-// Release hands the table's storage back to the pool. The table (and
-// every Directory view of it) must not be used afterwards.
-func (t *Table) Release() { tablePool.Put(t) }
+// Release hands the table's storage back to the free list. The table
+// (and every Directory view of it) must not be used afterwards.
+func (t *Table) Release() {
+	n := cap(t.entries) * int(unsafe.Sizeof(Entry{}))
+	if t.store.slabs != nil {
+		n += t.store.slabs.Bytes()
+	}
+	tablePool.Put(t, n)
+}
 
 // Store returns the interpreter for this table's Sharers words.
 func (t *Table) Store() *Store { return &t.store }

@@ -24,7 +24,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
+	"unsafe"
+
+	"specrt/internal/freelist"
 )
 
 // Op is one access to the array under test, recorded in program order.
@@ -147,37 +149,33 @@ func (s *Shadows) Len() int { return s.n }
 
 // shadowsPool recycles Shadows (with their marking scratch) across
 // users, keyed by element count, so short-lived sessions don't regrow
-// the bucket and stamp arrays on every run. A mutex-guarded plain map
-// is used rather than sync.Map so the int key is not boxed per lookup.
-var (
-	shadowsPoolMu sync.Mutex
-	shadowsPool   = map[int]*sync.Pool{}
-)
-
-func shadowsPoolFor(n int) *sync.Pool {
-	shadowsPoolMu.Lock()
-	p := shadowsPool[n]
-	if p == nil {
-		p = &sync.Pool{}
-		shadowsPool[n] = p
-	}
-	shadowsPoolMu.Unlock()
-	return p
-}
+// the bucket and stamp arrays on every run.
+var shadowsPool freelist.Keyed[int, *Shadows]
 
 // GetShadows returns reset shadow arrays for n elements, reusing pooled
 // storage when available.
 func GetShadows(n int) *Shadows {
-	if v := shadowsPoolFor(n).Get(); v != nil {
-		s := v.(*Shadows)
+	if s, ok := shadowsPool.For(n).Get(); ok {
 		s.Reset()
 		return s
 	}
 	return NewShadows(n)
 }
 
-// PutShadows hands s back to the pool; s must not be used afterwards.
-func PutShadows(s *Shadows) { shadowsPoolFor(s.n).Put(s) }
+// PutShadows hands s back to the free list; s must not be used
+// afterwards.
+func PutShadows(s *Shadows) { shadowsPool.For(s.n).Put(s, s.footprint()) }
+
+// footprint approximates the bytes s retains: its bitsets and stamp
+// arrays and, once marked, the marking scratch.
+func (s *Shadows) footprint() int {
+	n := 8*(len(s.Ar)+len(s.Aw)+len(s.Anp)) + 4*(len(s.MinW)+len(s.MaxR1st))
+	if m := s.mark; m != nil {
+		n += 4*(cap(m.wIter)+cap(m.wSoFar)+cap(m.rFirst)+cap(m.opGroup)+cap(m.start)) +
+			cap(m.grouped)*int(unsafe.Sizeof(Op{}))
+	}
+	return n
+}
 
 // Reset clears the shadows for reuse, keeping the marking scratch.
 func (s *Shadows) Reset() {

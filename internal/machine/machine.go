@@ -31,11 +31,11 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"specrt/internal/abits"
 	"specrt/internal/cache"
 	"specrt/internal/directory"
+	"specrt/internal/freelist"
 	"specrt/internal/interconnect"
 	"specrt/internal/mem"
 	"specrt/internal/sim"
@@ -396,17 +396,17 @@ func New(cfg Config) (*Machine, error) {
 // enginePool recycles engines across machines: a fresh engine regrows
 // its timing-wheel buckets on every run, which was most of a short
 // run's allocations.
-var enginePool sync.Pool
+var enginePool freelist.List[*sim.Engine]
 
 func getEngine() *sim.Engine {
-	if e, ok := enginePool.Get().(*sim.Engine); ok {
+	if e, ok := enginePool.Get(); ok {
 		return e
 	}
 	return sim.NewEngine()
 }
 
-// Release returns the engine, the caches' access-bit slabs and the
-// directory table to their pools. The machine must not simulate
+// Release returns the engine, the caches' frames and access-bit slabs
+// and the directory table to their free lists. The machine must not simulate
 // afterwards; call it once its final stats have been collected.
 func (m *Machine) Release() {
 	for _, p := range m.Procs {
@@ -419,7 +419,7 @@ func (m *Machine) Release() {
 	}
 	if m.Eng != nil {
 		m.Eng.Reset()
-		enginePool.Put(m.Eng)
+		enginePool.Put(m.Eng, m.Eng.Footprint())
 		m.Eng = nil
 	}
 }
@@ -518,7 +518,7 @@ func (m *Machine) FlushCaches() {
 		// the writeback below then carries the freshest tags.
 		p.L1.FlushAll(func(l cache.Line) {
 			if fr := l2.Lookup(l.Tag); fr != nil {
-				fr.State = cache.Dirty
+				fr.SetState(cache.Dirty)
 				if l.Bits != nil {
 					l2.SetBits(fr, l.Bits)
 				}

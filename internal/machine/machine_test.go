@@ -100,7 +100,7 @@ func TestWriteNonStalling(t *testing.T) {
 	if e.State != directory.Dirty || e.Owner != 0 {
 		t.Fatalf("dir after write = %+v", *e)
 	}
-	if fr := m.Procs[0].L1.Lookup(remote.ElemAddr(0)); fr == nil || fr.State != cache.Dirty {
+	if fr := m.Procs[0].L1.Lookup(remote.ElemAddr(0)); fr == nil || fr.State() != cache.Dirty {
 		t.Fatal("line not dirty in L1 after write")
 	}
 }
@@ -163,7 +163,7 @@ func TestDirtyReadDowngradesOwner(t *testing.T) {
 	m.Read(2, a)
 	// Owner keeps a clean copy; both are sharers now.
 	fr := m.Procs[1].L1.Lookup(a)
-	if fr == nil || fr.State != cache.Clean {
+	if fr == nil || fr.State() != cache.Clean {
 		t.Fatalf("owner copy after read by other = %+v", fr)
 	}
 	e := m.Dir(a)
@@ -366,7 +366,7 @@ func TestClearAllBits(t *testing.T) {
 	bits[0] = bits[0].WithROnly(true)
 	m.FetchRead(0, a, func(wb *cache.Line, wbOwner int) ([]abits.Word, error) { return bits, nil })
 	m.ClearAllBits()
-	if fr := m.Procs[0].L1.Lookup(a); fr.Bits[0] != 0 {
+	if fr := m.Procs[0].L1.Lookup(a); m.Procs[0].L1.Bits(fr)[0] != 0 {
 		t.Fatal("ClearAllBits left bits set")
 	}
 }
@@ -385,10 +385,10 @@ func TestClearBitsRange(t *testing.T) {
 	mk(arrA)
 	mk(arrB)
 	m.ClearBitsRange(0, arrB.Base, arrB.End(), abits.Word.ClearIteration)
-	if fr := m.Procs[0].L1.Lookup(arrA.ElemAddr(0)); !fr.Bits[0].Read1st() {
+	if fr := m.Procs[0].L1.Lookup(arrA.ElemAddr(0)); !m.Procs[0].L1.Bits(fr)[0].Read1st() {
 		t.Fatal("range clear touched array A")
 	}
-	if fr := m.Procs[0].L1.Lookup(arrB.ElemAddr(0)); fr.Bits[0].Read1st() {
+	if fr := m.Procs[0].L1.Lookup(arrB.ElemAddr(0)); m.Procs[0].L1.Bits(fr)[0].Read1st() {
 		t.Fatal("range clear missed array B")
 	}
 }
@@ -402,7 +402,7 @@ func TestSyncBitsToL2(t *testing.T) {
 	bits := make([]abits.Word, 16)
 	bits[2] = bits[2].WithROnly(true)
 	m.SyncBitsToL2(0, line, bits)
-	if fr := m.Procs[0].L2.Lookup(a); fr == nil || !fr.Bits[2].ROnly() {
+	if fr := m.Procs[0].L2.Lookup(a); fr == nil || !m.Procs[0].L2.Bits(fr)[2].ROnly() {
 		t.Fatal("SyncBitsToL2 did not update the L2 copy")
 	}
 }
@@ -500,7 +500,7 @@ func TestDirtyL1EvictionMergesToL2(t *testing.T) {
 		t.Fatal("line still in L1")
 	}
 	fr := m.Procs[0].L2.Lookup(a)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		t.Fatalf("L2 copy after dirty L1 eviction = %+v", fr)
 	}
 	// Directory still says dirty owner 0 (silent L1->L2 movement).
@@ -544,9 +544,9 @@ func TestPropertyCoherenceConsistency(t *testing.T) {
 				seen := map[mem.Addr]bool{}
 				for e := 0; e < arr.Elems; e += 16 {
 					a := arr.ElemAddr(e)
-					if fr := c.Lookup(a); fr != nil && !seen[fr.Tag] {
-						seen[fr.Tag] = true
-						holders[fr.Tag] = append(holders[fr.Tag], holder{pr.ID, fr.State})
+					if fr := c.Lookup(a); fr != nil && !seen[fr.Tag()] {
+						seen[fr.Tag()] = true
+						holders[fr.Tag()] = append(holders[fr.Tag()], holder{pr.ID, fr.State()})
 					}
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // returns the L1 frame and the L1 latency. On an L2 hit the line is
 // promoted into L1 (carrying its access bits) and the L1 frame and L2
 // latency are returned. On a full miss it returns (nil, 0, false).
-func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
+func (m *Machine) Probe(p int, a mem.Addr) (*cache.Frame, sim.Time, bool) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Probe(a); fr != nil {
 		m.Stats.L1Hits++
@@ -20,7 +20,7 @@ func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
 	}
 	if fr := pr.L2.Probe(a); fr != nil {
 		m.Stats.L2Hits++
-		l1fr := m.installL1(p, fr.Tag, fr.State, fr.Bits)
+		l1fr := m.installL1(p, fr.Tag(), fr.State(), pr.L2.Bits(fr))
 		return l1fr, m.Cfg.Lat.L2Hit, true
 	}
 	return nil, 0, false
@@ -28,7 +28,7 @@ func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
 
 // installL1 places a line in L1, merging any displaced line back into L2
 // (or straight to home if its L2 copy is gone).
-func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Line {
+func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Frame {
 	pr := m.Procs[p]
 	victim, evicted := pr.L1.Install(line, st, bits)
 	if evicted {
@@ -36,7 +36,7 @@ func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.W
 			// Inclusion: fold the (possibly newer) L1 state and bits
 			// into the L2 copy.
 			if victim.State == cache.Dirty {
-				l2fr.State = cache.Dirty
+				l2fr.SetState(cache.Dirty)
 			}
 			if victim.Bits != nil {
 				pr.L2.SetBits(l2fr, victim.Bits)
@@ -49,7 +49,7 @@ func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.W
 }
 
 // installBoth places a fetched line into L2 and L1.
-func (m *Machine) installBoth(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Line {
+func (m *Machine) installBoth(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Frame {
 	pr := m.Procs[p]
 	victim, evicted := pr.L2.Install(line, st, bits)
 	if evicted {
@@ -281,10 +281,11 @@ func (m *Machine) FetchWrite(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, e
 	// On an upgrade the requester keeps its own bits unless the home
 	// supplied fresh ones.
 	if upgrade && bits == nil {
-		if fr := m.Procs[p].L1.Lookup(line); fr != nil {
-			bits = fr.Bits
-		} else if fr := m.Procs[p].L2.Lookup(line); fr != nil {
-			bits = fr.Bits
+		pr := m.Procs[p]
+		if fr := pr.L1.Lookup(line); fr != nil {
+			bits = pr.L1.Bits(fr)
+		} else if fr := pr.L2.Lookup(line); fr != nil {
+			bits = pr.L2.Bits(fr)
 		}
 	}
 	m.installBoth(p, line, cache.Dirty, bits)
@@ -338,7 +339,7 @@ func (m *Machine) Read(p int, a mem.Addr) sim.Time {
 func (m *Machine) Write(p int, a mem.Addr) sim.Time {
 	m.Stats.Writes++
 	fr, _, hit := m.Probe(p, a)
-	if hit && fr.State == cache.Dirty {
+	if hit && fr.State() == cache.Dirty {
 		return m.Cfg.Lat.L1Hit
 	}
 	// Upgrade or fetch-exclusive proceeds without stalling the processor.

@@ -137,10 +137,7 @@ func executeAdaptive(w *Workload, cfg Config, d policy.Director, progress Progre
 		Verdicts: make(map[string]lrpd.Verdict),
 		Director: d.Name(),
 	}
-	execs := w.Executions
-	if cfg.MaxExecutions > 0 && cfg.MaxExecutions < execs {
-		execs = cfg.MaxExecutions
-	}
+	execs := executions(w, cfg)
 	if progress != nil {
 		progress(0, execs)
 	}

@@ -369,10 +369,7 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 		Procs:    cfg.Procs,
 		Verdicts: make(map[string]lrpd.Verdict),
 	}
-	execs := w.Executions
-	if cfg.MaxExecutions > 0 && cfg.MaxExecutions < execs {
-		execs = cfg.MaxExecutions
-	}
+	execs := executions(w, cfg)
 	if progress != nil {
 		progress(0, execs)
 	}
@@ -498,6 +495,13 @@ func validate(w *Workload, cfg Config) error {
 	default:
 		return fmt.Errorf("run: unknown policy %d", cfg.Policy)
 	}
+	for exec := range executions(w, cfg) {
+		// Iteration numbers travel in the 32-bit ID of a BeginIter
+		// instruction; a count past that range would wrap them.
+		if err := cpu.CheckID("iteration count", w.Iterations(exec)); err != nil {
+			return fmt.Errorf("run: workload %q execution %d: %w", w.Name, exec, err)
+		}
+	}
 	for _, a := range w.Arrays {
 		switch a.ElemSize {
 		case 4, 8, 16:
@@ -509,6 +513,15 @@ func validate(w *Workload, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// executions is the number of loop executions a run simulates: the
+// workload's, capped by Config.MaxExecutions.
+func executions(w *Workload, cfg Config) int {
+	if cfg.MaxExecutions > 0 && cfg.MaxExecutions < w.Executions {
+		return cfg.MaxExecutions
+	}
+	return w.Executions
 }
 
 // schedFor picks the schedule for the configured mode.

@@ -1,10 +1,14 @@
 package run
 
 import (
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"specrt/internal/core"
+	"specrt/internal/cpu"
 	"specrt/internal/directory"
 	"specrt/internal/interconnect"
 	"specrt/internal/lrpd"
@@ -389,6 +393,35 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Execute(good, Config{Procs: 1, Mode: Serial, L1Bytes: -1}); err == nil {
 		t.Fatal("negative cache override accepted")
+	}
+}
+
+// TestValidationIterationCount checks that an iteration count past the
+// int32 range of an instruction ID is rejected with a typed error before
+// anything is simulated, not wrapped into BeginIter IDs. Executions the
+// MaxExecutions cap skips are not consulted.
+func TestValidationIterationCount(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("every int fits the ID field")
+	}
+	big := math.MaxInt32
+	big++
+	w := indepLoop(core.NonPriv, 8, 8, 1)
+	w.Executions = 2
+	w.Iterations = func(exec int) int {
+		if exec == 1 {
+			return big
+		}
+		return 8
+	}
+	var re *cpu.IDRangeError
+	if err := Validate(w, cfgFor(HW, 2)); !errors.As(err, &re) || re.Value != big {
+		t.Fatalf("iteration count %d: err = %v, want an *cpu.IDRangeError", big, err)
+	}
+	cfg := cfgFor(HW, 2)
+	cfg.MaxExecutions = 1
+	if err := Validate(w, cfg); err != nil {
+		t.Fatalf("capped run rejected: %v", err)
 	}
 }
 

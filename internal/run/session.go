@@ -2,12 +2,13 @@ package run
 
 import (
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"specrt/internal/arena"
 	"specrt/internal/check"
 	"specrt/internal/core"
 	"specrt/internal/cpu"
+	"specrt/internal/freelist"
 	"specrt/internal/lrpd"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
@@ -225,37 +226,31 @@ func nameP(arr, kind string, p int) string {
 
 // opBufPool and instrBufPool recycle the big growth buffers (access
 // traces, instruction streams) across sessions, so short runs don't pay
-// the append-growth cost on every Execute (pointer-boxed Puts).
+// the append-growth cost on every Execute.
 var (
-	opBufPool    sync.Pool
-	instrBufPool sync.Pool
+	opBufPool    freelist.List[[]lrpd.Op]
+	instrBufPool freelist.List[[]cpu.Instr]
 )
 
 func getOpBuf() []lrpd.Op {
-	if v := opBufPool.Get(); v != nil {
-		return (*(v.(*[]lrpd.Op)))[:0]
-	}
-	return nil
+	b, _ := opBufPool.Get()
+	return b[:0]
 }
 
 func putOpBuf(b []lrpd.Op) {
 	if cap(b) > 0 {
-		b = b[:0]
-		opBufPool.Put(&b)
+		opBufPool.Put(b[:0], cap(b)*int(unsafe.Sizeof(lrpd.Op{})))
 	}
 }
 
 func getInstrBuf() []cpu.Instr {
-	if v := instrBufPool.Get(); v != nil {
-		return (*(v.(*[]cpu.Instr)))[:0]
-	}
-	return nil
+	b, _ := instrBufPool.Get()
+	return b[:0]
 }
 
 func putInstrBuf(b []cpu.Instr) {
 	if cap(b) > 0 {
-		b = b[:0]
-		instrBufPool.Put(&b)
+		instrBufPool.Put(b[:0], cap(b)*int(unsafe.Sizeof(cpu.Instr{})))
 	}
 }
 

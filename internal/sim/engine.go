@@ -26,6 +26,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Time is a simulated clock value in processor cycles.
@@ -163,6 +164,21 @@ func (e *Engine) Reset() {
 		l0:   e.l0,
 		l1:   e.l1,
 	}
+}
+
+// Footprint returns the bytes the engine retains across a Reset: the
+// struct itself and the capacity of its event slots, heap, free list and
+// wheel buckets.
+func (e *Engine) Footprint() int {
+	n := int(unsafe.Sizeof(*e)) + cap(e.pool)*int(unsafe.Sizeof(event{})) +
+		4*(cap(e.heap)+cap(e.free))
+	for i := range e.l0 {
+		n += cap(e.l0[i]) * int(unsafe.Sizeof(wentry{}))
+	}
+	for i := range e.l1 {
+		n += cap(e.l1[i]) * int(unsafe.Sizeof(wentry{}))
+	}
+	return n
 }
 
 // SetOrderPolicy installs p as the same-cycle tie-break policy for events
